@@ -8,6 +8,7 @@ detection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -382,12 +383,16 @@ def load_svm(text: str) -> SvmModel:
             raise ParseError("line 1: rbf kernel needs a gamma") from None
     else:
         raise ParseError(f"line 1: unknown kernel token {kind!r}")
+    if not math.isfinite(c) or not math.isfinite(kernel.gamma or 0.0):
+        raise ParseError("line 1: non-finite C or gamma")
     if len(lines) < 2 + m:
         raise ParseError(f"line {len(lines)}: expected {2 + m} lines")
     try:
         bias = float(lines[1])
     except ValueError:
         raise ParseError("line 2: bad bias") from None
+    if not math.isfinite(bias):
+        raise ParseError("line 2: non-finite bias")
     coef = np.empty(m)
     sv = np.empty((m, k))
     for i in range(m):
@@ -398,6 +403,8 @@ def load_svm(text: str) -> SvmModel:
         if len(row) != k + 1:
             raise ParseError(f"line {3 + i}: expected {k + 1} values, "
                              f"got {len(row)}")
+        if not all(math.isfinite(v) for v in row):
+            raise ParseError(f"line {3 + i}: non-finite value")
         coef[i] = row[0]
         sv[i] = row[1:]
     try:

@@ -20,12 +20,11 @@ from .errors import DataError, ModelError
 from .pipeline import (
     PipelineConfig,
     evaluate,
-    fit_pipeline,
+    fit_and_score,
     infer_stream,
     ingest,
     load_pipeline,
     parse_config,
-    pipeline_predict,
     render_config,
     save_pipeline,
 )
@@ -88,7 +87,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     records = ingest(args.manifest)
-    model = fit_pipeline(records, cfg)
+    model, acc = fit_and_score(records, cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     from .classifier import save_svm
@@ -96,9 +95,6 @@ def cmd_train(args) -> int:
     (out / "model.pca1").write_text(save_pca(model.pca))
     (out / "model.svm1").write_text(save_svm(model.svm))
     (out / "model.pipe1").write_text(save_pipeline(model))
-    preds = pipeline_predict(model, records)
-    labels = [r.label for r in records]
-    acc = sum(p == t for p, t in zip(preds, labels)) / len(labels)
     print(f"trained on {len(records)} frames "
           f"(pca k={model.pca.k}, {len(model.svm.dual_coef)} support "
           f"vectors); training accuracy {acc:.4f}")
@@ -144,10 +140,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _stage_rounds(text: str) -> tuple[int, ...]:
+    try:
+        rounds = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if min(rounds) < 1:
+        raise argparse.ArgumentTypeError(
+            f"every stage needs at least 1 round, got {text!r}")
+    return rounds
+
+
 def cmd_detect_train(args) -> int:
-    rounds = tuple(int(v) for v in args.stage_rounds.split(","))
     cascade = train_face_cascade(n_frames=args.n_frames, seed=args.seed,
-                                 stage_rounds=rounds,
+                                 stage_rounds=args.stage_rounds,
                                  target_detection_rate=args.target_rate,
                                  feature_step=args.feature_step)
     Path(args.out).write_text(save_cascade(cascade))
@@ -222,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train the synthetic face cascade")
     p.add_argument("--out", required=True, help="CASCADE1 output path")
     p.add_argument("--n-frames", type=int, default=120)
-    p.add_argument("--stage-rounds", default="4,10",
+    p.add_argument("--stage-rounds", type=_stage_rounds, default="4,10",
                    help="comma-separated boosting rounds per stage")
     p.add_argument("--target-rate", type=float, default=0.99)
     p.add_argument("--feature-step", type=int, default=2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -295,35 +295,56 @@ class BoostResult:
 
 
 _EPS_CLAMP = 1e-10
-_CHUNK = 4096
+_CHUNK = 64  # feature columns per block; a block's sums stay in cache
 
 
-def _best_feature_errors(values: np.ndarray, labels: np.ndarray,
-                         weights: np.ndarray) -> np.ndarray:
-    """Per-feature minimal stump error; matches train_weak arithmetic."""
+def _presort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable ascending order of each feature column, as int32, and the
+    mask of split positions (n + 1 per column) that fall between equal
+    values and so are not threshold candidates."""
     n, nf = values.shape
-    out = np.empty(nf)
+    order = np.empty((n, nf), dtype=np.int32)
+    tied = np.zeros((n + 1, nf), dtype=bool)
     for lo in range(0, nf, _CHUNK):
         block = values[:, lo:lo + _CHUNK]
-        order = np.argsort(block, axis=0, kind="stable")
-        v = np.take_along_axis(block, order, axis=0)
-        lab = labels[order]
-        w = weights[order]
-        wpos = np.where(lab == 1, w, 0.0)
-        wneg = np.where(lab == -1, w, 0.0)
-        cpos = np.vstack([np.zeros(block.shape[1]), np.cumsum(wpos, axis=0)])
-        cneg = np.vstack([np.zeros(block.shape[1]), np.cumsum(wneg, axis=0)])
-        total_pos = cpos[-1]
-        total_neg = cneg[-1]
-        err_p = cpos + (total_neg - cneg)
-        # splits at equal consecutive values are not candidates
-        invalid = np.vstack([np.zeros(block.shape[1], bool),
-                             v[1:] <= v[:-1],
-                             np.zeros(block.shape[1], bool)])
-        err_p = np.where(invalid, np.inf, err_p)
-        err_m = np.where(invalid, np.inf,
-                         (total_pos + total_neg) - err_p)
-        out[lo:lo + _CHUNK] = np.minimum(err_p.min(axis=0), err_m.min(axis=0))
+        block_order = np.argsort(block, axis=0, kind="stable")
+        v = np.take_along_axis(block, block_order, axis=0)
+        order[:, lo:lo + _CHUNK] = block_order
+        tied[1:n, lo:lo + _CHUNK] = v[1:] <= v[:-1]
+    return order, tied
+
+
+def _best_feature_errors(order: np.ndarray, tied: np.ndarray,
+                         labels: np.ndarray,
+                         weights: np.ndarray) -> np.ndarray:
+    """Per-feature minimal stump error over presorted columns; matches
+    train_weak arithmetic.
+
+    Rounding is monotone, so the smallest total - err_p over the valid
+    splits is total - (the largest valid err_p), bit for bit.
+    """
+    n, nf = order.shape
+    wpos = np.where(labels == 1, weights, 0.0)
+    wneg = np.where(labels == -1, weights, 0.0)
+    width = min(nf, _CHUNK)
+    cpos = np.zeros((n + 1, width))
+    cneg = np.zeros((n + 1, width))
+    out = np.empty(nf)
+    for lo in range(0, nf, _CHUNK):
+        idx = order[:, lo:lo + _CHUNK]
+        mask = tied[:, lo:lo + _CHUNK]
+        m = idx.shape[1]
+        cp, cn = cpos[:, :m], cneg[:, :m]
+        np.cumsum(wpos[idx], axis=0, out=cp[1:])
+        np.cumsum(wneg[idx], axis=0, out=cn[1:])
+        total_pos = cp[-1]
+        total_neg = cn[-1]
+        err_p = cp + (total_neg - cn)
+        np.copyto(err_p, np.inf, where=mask)
+        best_p = err_p.min(axis=0)
+        np.copyto(err_p, -np.inf, where=mask)
+        best_m = (total_pos + total_neg) - err_p.max(axis=0)
+        out[lo:lo + m] = np.minimum(best_p, best_m)
     return out
 
 
@@ -344,11 +365,12 @@ def boost(values: np.ndarray, labels: np.ndarray,
         raise NoFeatures("empty feature pool")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    order, tied = _presort(values)
     w = np.full(n, 1.0 / n)
     picked: list[BoostRound] = []
     for _ in range(rounds):
         w = w / w.sum()
-        per_feature = _best_feature_errors(values, labels, w)
+        per_feature = _best_feature_errors(order, tied, labels, w)
         f = int(np.argmin(per_feature))
         fit = train_weak(values[:, f], labels, w)
         eps = min(max(fit.error, _EPS_CLAMP), 1.0 - _EPS_CLAMP)
@@ -466,18 +488,6 @@ def train_stage(positives: Sequence[IntegralImage],
     need = math.ceil(target_detection_rate * len(positives))
     threshold = min(0.5 * total_alpha, float(scores[len(scores) - need]))
     return Stage(weak, threshold)
-
-
-def _cascade_pass_at_base(stages: Iterable[Stage],
-                          windows: Sequence[IntegralImage], base_w: int,
-                          base_h: int) -> np.ndarray:
-    """Boolean accept mask for base-size windows under the given stages."""
-    mask = np.ones(len(windows), dtype=bool)
-    for stage in stages:
-        feats = [weak.feature for weak, _ in stage.weak]
-        values = feature_value_matrix(windows, feats, base_w, base_h)
-        mask &= stage_scores(stage, values) >= stage.threshold
-    return mask
 
 
 def train_cascade(positives: Sequence[IntegralImage],

@@ -81,62 +81,6 @@ def frame_features(img: Image, box: Rect,
 
 
 # ---------------------------------------------------------------------------
-# Eigensolver
-
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-10,
-                max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigensolver for a symmetric matrix.
-
-    Sweeps Givens rotations over all (p, q) pairs until the off-diagonal
-    Frobenius norm drops below tol. Returns (eigenvalues, eigenvectors) with
-    eigenvectors in columns, unordered.
-    """
-    a = np.array(matrix, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    skip = tol / (2.0 * n)
-    for _ in range(max_sweeps):
-        off = a - np.diag(np.diag(a))
-        if float(np.sqrt((off * off).sum())) < tol:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    off = a - np.diag(np.diag(a))
-    if float(np.sqrt((off * off).sum())) >= tol:
-        raise RuntimeError(f"Jacobi eigensolver did not converge to {tol} "
-                           f"within {max_sweeps} sweeps")
-    return np.diag(a).copy(), v
-
-
-# ---------------------------------------------------------------------------
 # PCA
 
 @dataclass(frozen=True, eq=False)
@@ -212,15 +156,12 @@ def pca_fit(samples: np.ndarray, k: int | None = None,
         raise DegenerateData("all samples are identical")
 
     if n <= d:
-        gram = centered @ centered.T / (n - 1)
-        scale = float(np.abs(gram).max())
-        lam, vecs = jacobi_eigh(gram / scale)
-        lam = lam * scale
+        sym = centered @ centered.T / (n - 1)  # Gram matrix
     else:
-        cov = centered.T @ centered / (n - 1)
-        scale = float(np.abs(cov).max())
-        lam, vecs = jacobi_eigh(cov / scale)
-        lam = lam * scale
+        sym = centered.T @ centered / (n - 1)  # covariance matrix
+    scale = float(np.abs(sym).max())
+    lam, vecs = np.linalg.eigh(sym / scale)
+    lam = lam * scale
 
     order = np.argsort(lam)[::-1]
     lam = np.maximum(lam[order], 0.0)
@@ -310,6 +251,8 @@ def load_pca(text: str) -> PcaModel:
         raise ParseError("line 2: bad mean vector") from None
     if mean.shape != (d,):
         raise ParseError(f"line 2: mean has {mean.size} entries, expected {d}")
+    if not np.all(np.isfinite(mean)):
+        raise ParseError("line 2: non-finite mean entry")
     eigenvalues = np.empty(k)
     components = np.empty((k, d))
     for i in range(k):
@@ -320,6 +263,8 @@ def load_pca(text: str) -> PcaModel:
         if len(row) != d + 1:
             raise ParseError(f"line {3 + i}: expected {d + 1} values, "
                              f"got {len(row)}")
+        if not np.all(np.isfinite(row)):
+            raise ParseError(f"line {3 + i}: non-finite value")
         eigenvalues[i] = row[0]
         components[i] = row[1:]
     try:

@@ -272,23 +272,11 @@ def integral_image(img: Image) -> IntegralImage:
     return IntegralImage(img.width, img.height, sums, squares)
 
 
-def _check_rect(ii: IntegralImage, rect: Rect) -> None:
-    if rect.x < 0 or rect.y < 0 or rect.x2 > ii.width or rect.y2 > ii.height:
-        raise OutOfBounds(f"{rect} outside {ii.width}x{ii.height} image")
-
-
 def rect_sum(ii: IntegralImage, rect: Rect) -> int:
     """Exact pixel sum over rect in O(1)."""
-    _check_rect(ii, rect)
+    if rect.x < 0 or rect.y < 0 or rect.x2 > ii.width or rect.y2 > ii.height:
+        raise OutOfBounds(f"{rect} outside {ii.width}x{ii.height} image")
     s = ii.sums
-    return int(s[rect.y2, rect.x2] - s[rect.y, rect.x2]
-               - s[rect.y2, rect.x] + s[rect.y, rect.x])
-
-
-def rect_sum_squares(ii: IntegralImage, rect: Rect) -> int:
-    """Exact sum of squared pixels over rect in O(1)."""
-    _check_rect(ii, rect)
-    s = ii.squares
     return int(s[rect.y2, rect.x2] - s[rect.y, rect.x2]
                - s[rect.y2, rect.x] + s[rect.y, rect.x])
 

@@ -370,6 +370,15 @@ def fit_pipeline(records: Sequence[ManifestRecord],
                  config: PipelineConfig = PipelineConfig(),
                  ) -> PipelineModel:
     """Train PCA + SVM over the extracted ROI features of a dataset."""
+    return fit_and_score(records, config)[0]
+
+
+def fit_and_score(records: Sequence[ManifestRecord],
+                  config: PipelineConfig = PipelineConfig(),
+                  ) -> tuple[PipelineModel, float]:
+    """fit_pipeline, plus the model's accuracy on the training frames it
+    kept (frames without a face are left out), from the projections the
+    fit already made."""
     cascade = None
     if config.cascade_path:
         cascade = load_cascade(Path(config.cascade_path).read_text())
@@ -388,14 +397,17 @@ def fit_pipeline(records: Sequence[ManifestRecord],
     svm = classifier.svm_train(z, y, C=config.svm_c, kernel=config.kernel(),
                                tol=config.svm_tol,
                                max_passes=config.svm_max_passes)
-    return PipelineModel(geometry=config.geometry,
-                         preprocess=config.preprocess, pca=pca, svm=svm,
-                         cascade=cascade, scan=config.scan)
+    model = PipelineModel(geometry=config.geometry,
+                          preprocess=config.preprocess, pca=pca, svm=svm,
+                          cascade=cascade, scan=config.scan)
+    preds = np.where(classifier.svm_decision_many(svm, z) >= 0, 1, -1)
+    return model, float(np.mean(preds == y))
 
 
 def pipeline_predict(model: PipelineModel,
                      records: Sequence[ManifestRecord]) -> np.ndarray:
-    """Labels for every frame of a dataset (ground-truth boxes allowed)."""
+    """Labels for the frames of a dataset in which a face box is found;
+    frames the cascade skips are left out (ground-truth boxes allowed)."""
     x, _, _, _ = extract_features(records, model.geometry, model.preprocess,
                                   model.cascade, model.scan)
     z = features.pca_project_many(model.pca, x)

@@ -307,6 +307,20 @@ class TestSvmCodec:
         assert loaded.kernel == LINEAR
         assert loaded.bias == model.bias
 
+    @pytest.mark.parametrize("line, col", [(0, 3), (0, 5), (1, 0), (2, 0),
+                                           (3, 2)])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_rejected(self, rng, line, col, bad):
+        # header C and gamma, the bias, a dual coefficient, an SV entry
+        x, y = separable_set(rng, n=6, k=2)
+        text = save_svm(svm_train(x, y, kernel=KernelSpec("rbf", 0.5)))
+        lines = text.splitlines()
+        row = lines[line].split()
+        row[col] = bad
+        lines[line] = " ".join(row)
+        with pytest.raises(ParseError):
+            load_svm("\n".join(lines) + "\n")
+
     def test_bad_kernel_token(self):
         with pytest.raises(ParseError):
             load_svm("SVM1 1 2 1.0 sigmoid\n0.0\n1.0 0.0\n-1.0 1.0\n")

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from fatiguedet.cli import main
-from fatiguedet.detector import load_cascade
+from fatiguedet.detector import load_cascade, save_cascade
+from fatiguedet.imaging import Image, save_pnm
+from fatiguedet.synth import BACKGROUND
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +43,28 @@ class TestTrain:
         for name in ("model.pca1", "model.svm1", "model.pipe1"):
             assert (workdir / "models" / name).read_bytes() == \
                 (workdir / "m2" / name).read_bytes()
+
+    def test_accuracy_counts_only_kept_frames(self, workdir, face_cascade,
+                                              tmp_path, capsys):
+        # a faceless first frame is skipped by the cascade; the accuracy
+        # must not pair the remaining predictions with shifted labels
+        cascade = tmp_path / "cascade.txt"
+        cascade.write_text(save_cascade(face_cascade))
+        blank = tmp_path / "blank.pgm"
+        blank.write_bytes(save_pnm(Image.from_array(
+            np.full((160, 160), BACKGROUND, dtype=np.uint8))))
+        data = workdir / "data"
+        rows = [f"{blank},-1"]
+        for line in (data / "manifest.csv").read_text().splitlines()[1:]:
+            name, label = line.split(",")[:2]
+            rows.append(f"{data / name},{label}")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(manifest), "--out-dir",
+                     str(tmp_path / "models"), "--detector",
+                     str(cascade)]) == 0
+        assert "training accuracy 1.0000" in capsys.readouterr().out
 
 
 class TestEval:
@@ -97,6 +122,14 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["bogus-command"]) == 1
         assert main(["train", "--manifest"]) == 1
+
+    @pytest.mark.parametrize("rounds", ["a,b", "3,", "4,0", "-2"])
+    def test_bad_stage_rounds_is_usage_error(self, workdir, rounds, capsys):
+        out = workdir / "never.txt"
+        assert main(["detect-train", "--out", str(out), "--stage-rounds",
+                     rounds]) == 1
+        assert "--stage-rounds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_data_error(self, workdir):
         assert main(["train", "--manifest", str(workdir / "ghost.csv"),

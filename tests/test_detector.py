@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fatiguedet import detector
 from fatiguedet.detector import (
+    BoostResult,
+    BoostRound,
     Cascade,
     EvalStats,
     HaarFeature,
@@ -178,6 +181,69 @@ class TestTrainWeak:
             train_weak(np.array([]), np.array([]), np.array([]))
 
 
+# Reference stump search: argsorts every column in every round. Kept word
+# for word as it stood before boost presorted its columns; boost must pick
+# exactly the rounds this search picks.
+_CHUNK = 4096
+
+
+def _best_feature_errors(values: np.ndarray, labels: np.ndarray,
+                         weights: np.ndarray) -> np.ndarray:
+    """Per-feature minimal stump error; matches train_weak arithmetic."""
+    n, nf = values.shape
+    out = np.empty(nf)
+    for lo in range(0, nf, _CHUNK):
+        block = values[:, lo:lo + _CHUNK]
+        order = np.argsort(block, axis=0, kind="stable")
+        v = np.take_along_axis(block, order, axis=0)
+        lab = labels[order]
+        w = weights[order]
+        wpos = np.where(lab == 1, w, 0.0)
+        wneg = np.where(lab == -1, w, 0.0)
+        cpos = np.vstack([np.zeros(block.shape[1]), np.cumsum(wpos, axis=0)])
+        cneg = np.vstack([np.zeros(block.shape[1]), np.cumsum(wneg, axis=0)])
+        total_pos = cpos[-1]
+        total_neg = cneg[-1]
+        err_p = cpos + (total_neg - cneg)
+        # splits at equal consecutive values are not candidates
+        invalid = np.vstack([np.zeros(block.shape[1], bool),
+                             v[1:] <= v[:-1],
+                             np.zeros(block.shape[1], bool)])
+        err_p = np.where(invalid, np.inf, err_p)
+        err_m = np.where(invalid, np.inf,
+                         (total_pos + total_neg) - err_p)
+        out[lo:lo + _CHUNK] = np.minimum(err_p.min(axis=0), err_m.min(axis=0))
+    return out
+
+
+def argsort_boost(values, labels, rounds):
+    """boost's loop over the reference search above."""
+    n = len(labels)
+    w = np.full(n, 1.0 / n)
+    picked = []
+    for _ in range(rounds):
+        w = w / w.sum()
+        per_feature = _best_feature_errors(values, labels, w)
+        f = int(np.argmin(per_feature))
+        fit = train_weak(values[:, f], labels, w)
+        eps = min(max(fit.error, 1e-10), 1.0 - 1e-10)
+        beta = eps / (1.0 - eps)
+        alpha = math.log(1.0 / beta)
+        h = stump_predict(values[:, f], fit.threshold, fit.polarity)
+        w = np.where(h == labels, w * beta, w)
+        picked.append(BoostRound(f, fit.threshold, fit.polarity, alpha,
+                                 fit.error))
+    return BoostResult(picked, w)
+
+
+def tied_matrix(rng, n, nf):
+    """Random values where many columns hold repeated values."""
+    values = rng.normal(size=(n, nf))
+    coarse = rng.random(nf) < 0.5
+    values[:, coarse] = rng.integers(0, 4, size=(n, int(coarse.sum())))
+    return values
+
+
 class TestBoost:
     def test_single_round_separable(self):
         values = np.array([[1.0], [2.0], [9.0], [10.0]])
@@ -235,6 +301,31 @@ class TestBoost:
                 scores += np.where(votes == 1, r.alpha, 0.0)
             err = float(np.mean((scores >= 0.5 * total_alpha) != (labels == 1)))
             assert err <= bound + 1e-12
+
+    def test_presorted_errors_match_argsort_search(self, rng):
+        # feature counts span several presort blocks and a partial one
+        for _ in range(20):
+            n = int(rng.integers(1, 40))
+            values = tied_matrix(rng, n, int(rng.integers(1, 200)))
+            labels = rng.choice([1, -1], size=n)
+            w = rng.random(n)
+            w /= w.sum()
+            order, tied = detector._presort(values)
+            assert order.dtype == np.int32
+            assert np.array_equal(
+                detector._best_feature_errors(order, tied, labels, w),
+                _best_feature_errors(values, labels, w))
+
+    def test_rounds_match_argsort_boost(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 60))
+            values = tied_matrix(rng, n, int(rng.integers(1, 150)))
+            labels = rng.choice([1, -1], size=n)
+            rounds = int(rng.integers(1, 8))
+            got = boost(values, labels, rounds)
+            want = argsort_boost(values, labels, rounds)
+            assert got.rounds == want.rounds
+            assert np.array_equal(got.weights, want.weights)
 
 
 def toy_windows(rng, n, bright):

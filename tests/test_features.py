@@ -15,7 +15,6 @@ from fatiguedet.features import (
     RoiGeometry,
     assemble,
     extract_rois,
-    jacobi_eigh,
     load_pca,
     normalize_face,
     pca_fit,
@@ -115,22 +114,6 @@ class TestAssemble:
             assemble(gray(np.zeros((30, 79))), gray(np.zeros((40, 40))))
 
 
-class TestJacobi:
-    def test_matches_numpy_eigh(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 8))
-            m = rng.normal(size=(n, n))
-            sym = (m + m.T) / 2
-            lam, vecs = jacobi_eigh(sym)
-            order = np.argsort(lam)
-            lam = lam[order]
-            vecs = vecs[:, order]
-            ref_lam, _ = np.linalg.eigh(sym)
-            assert np.allclose(lam, ref_lam, atol=1e-9)
-            assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-9)
-            assert np.allclose(sym @ vecs, vecs * lam, atol=1e-8)
-
-
 def oracle_eig(samples):
     """Independent dense eigensolve of the sample covariance."""
     x = np.asarray(samples, dtype=np.float64)
@@ -167,6 +150,23 @@ class TestPcaFit:
                 if gap_ok and (i == 0 or lam_ref[i - 1] - lam_ref[i] > 1e-6):
                     dot = abs(model.components[i] @ vecs_ref[i])
                     assert dot == pytest.approx(1.0, abs=1e-6)
+
+    def test_components_are_orthonormal_eigenvectors(self, rng):
+        # checked against the sample covariance A itself, not against
+        # another eigensolver: ||A v - lambda v|| <= 1e-8 ||A|| for each
+        # component; n <= d takes the Gram path, n > d the covariance path
+        for n, d in [(4, 9), (12, 40), (30, 30), (9, 3), (40, 12)] * 4:
+            x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+            k = min(n - 1, d)
+            model = pca_fit(x, k=k)
+            centered = x - x.mean(axis=0)
+            a = centered.T @ centered / (n - 1)
+            norm_a = np.sqrt((a * a).sum())
+            for lam, v in zip(model.eigenvalues, model.components):
+                residual = a @ v - lam * v
+                assert np.sqrt((residual * residual).sum()) <= 1e-8 * norm_a
+            gram = model.components @ model.components.T
+            assert np.allclose(gram, np.eye(k), atol=1e-8)
 
     def test_covariance_path_when_n_exceeds_d(self, rng):
         x = rng.normal(size=(12, 3))
@@ -296,3 +296,15 @@ class TestPcaCodec:
         text = save_pca(pca_fit(rng.normal(size=(5, 3)), k=2))
         with pytest.raises(ParseError):
             load_pca("\n".join(text.splitlines()[:-1]))
+
+    @pytest.mark.parametrize("line, col", [(0, 0), (1, 0), (2, 3)])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, rng, line, col, bad):
+        # line 0 is the mean; component rows start with their eigenvalue
+        text = save_pca(pca_fit(rng.normal(size=(5, 3)), k=2))
+        lines = text.splitlines()
+        row = lines[1 + line].split()
+        row[col] = bad
+        lines[1 + line] = " ".join(row)
+        with pytest.raises(ParseError):
+            load_pca("\n".join(lines) + "\n")
