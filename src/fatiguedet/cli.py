@@ -13,11 +13,13 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .detector import save_cascade
 from .errors import DataError, ModelError
 from .pipeline import (
+    CONFIG_KEYS,
     PipelineConfig,
     evaluate,
     fit_and_score,
@@ -45,31 +47,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args) -> PipelineConfig:
+    """The config file, if any, then each override flag whose dest is a
+    config key and which was given."""
     cfg = PipelineConfig()
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise DataError(f"config file {path} does not exist")
         cfg = parse_config(path.read_text(), cfg)
-    overrides = []
-    for flag, key in (("detector", "cascade_path"), ("pca_k", "pca_k"),
-                      ("pca_variance", "pca_variance"), ("svm_c", "svm_c"),
-                      ("svm_kernel", "svm_kernel"),
-                      ("svm_gamma", "svm_gamma"), ("seed", "seed"),
-                      ("t_low", "t_low"), ("t_high", "t_high"),
-                      ("alarm_duration", "alarm_duration"),
-                      ("high_persist", "high_persist"),
-                      ("sample_period", "sample_period"),
-                      ("no_face_policy", "no_face_policy")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides.append(f"{key} = {value}")
-    if getattr(args, "water_spray", False):
-        overrides.append("water_spray = on")
-    if overrides:
-        cfg = parse_config("\n".join(overrides), cfg)
+    overrides = "".join(f"{key} = {value}\n"
+                        for key, value in vars(args).items()
+                        if key in CONFIG_KEYS and value is not None)
+    cfg = parse_config(overrides, cfg)
     if cfg.cascade_path in ("off", "none"):
-        cfg = parse_config("cascade_path =", cfg)
+        cfg = replace(cfg, cascade_path=None)
     return cfg
 
 
@@ -87,7 +78,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     records = ingest(args.manifest)
-    model, acc = fit_and_score(records, cfg)
+    model, acc, n_used = fit_and_score(records, cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     from .classifier import save_svm
@@ -95,7 +86,7 @@ def cmd_train(args) -> int:
     (out / "model.pca1").write_text(save_pca(model.pca))
     (out / "model.svm1").write_text(save_svm(model.svm))
     (out / "model.pipe1").write_text(save_pipeline(model))
-    print(f"trained on {len(records)} frames "
+    print(f"trained on {n_used} frames "
           f"(pca k={model.pca.k}, {len(model.svm.dual_coef)} support "
           f"vectors); training accuracy {acc:.4f}")
     print(f"wrote {out / 'model.pca1'}, {out / 'model.svm1'}, "
@@ -152,6 +143,22 @@ def _stage_rounds(text: str) -> tuple[int, ...]:
     return rounds
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, "
+                                         f"got {text!r}")
+    return value
+
+
+def _rate(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"expected a rate in (0, 1], "
+                                         f"got {text!r}")
+    return value
+
+
 def cmd_detect_train(args) -> int:
     cascade = train_face_cascade(n_frames=args.n_frames, seed=args.seed,
                                  stage_rounds=args.stage_rounds,
@@ -190,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--detector", help="cascade file, or 'off'")
+    p.add_argument("--detector", dest="cascade_path",
+                   help="cascade file, or 'off'")
     p.add_argument("--pca-k", dest="pca_k", type=int)
     p.add_argument("--pca-variance", dest="pca_variance", type=float)
     p.add_argument("--svm-c", dest="svm_c", type=float)
@@ -218,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alarm-duration", dest="alarm_duration", type=float)
     p.add_argument("--high-persist", dest="high_persist", type=float)
     p.add_argument("--water-spray", dest="water_spray",
-                   action="store_true")
+                   action="store_const", const="on")
     p.add_argument("--sample-period", dest="sample_period", type=float)
     p.add_argument("--no-face-policy", dest="no_face_policy",
                    choices=["skip", "fatigued"])
@@ -228,11 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect-train",
                        help="train the synthetic face cascade")
     p.add_argument("--out", required=True, help="CASCADE1 output path")
-    p.add_argument("--n-frames", type=int, default=120)
+    p.add_argument("--n-frames", type=_positive_int, default=120)
     p.add_argument("--stage-rounds", type=_stage_rounds, default="4,10",
                    help="comma-separated boosting rounds per stage")
-    p.add_argument("--target-rate", type=float, default=0.99)
-    p.add_argument("--feature-step", type=int, default=2)
+    p.add_argument("--target-rate", type=_rate, default=0.99)
+    p.add_argument("--feature-step", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_detect_train)
 

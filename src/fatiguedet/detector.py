@@ -584,7 +584,7 @@ class _RectGroup:
                     max(1, iround(self._sw / n)), max(1, iround(self._sh / n)))
 
 
-def _group_rects(raw: list[Rect], iou_threshold: float) -> list[list[Rect]]:
+def _group_rects(raw: list[Rect], iou_threshold: float) -> list[_RectGroup]:
     """Greedy clustering: each hit joins the first group whose mean box it
     overlaps at >= iou_threshold, otherwise starts a group. Anchoring on the
     mean keeps dense scan grids from chaining into one blob."""
@@ -596,7 +596,7 @@ def _group_rects(raw: list[Rect], iou_threshold: float) -> list[list[Rect]]:
                 break
         else:
             groups.append(_RectGroup(rect))
-    return [g.members for g in groups]
+    return groups
 
 
 def detect(img: Image, cascade: Cascade,
@@ -637,15 +637,12 @@ def detect(img: Image, cascade: Cascade,
     raw.sort(key=lambda r: (r.y, r.x, r.w, r.h))
     boxes: list[FaceBox] = []
     for group in _group_rects(raw, scan.group_iou):
-        if len(group) < scan.min_neighbors:
+        if len(group.members) < scan.min_neighbors:
             continue
-        x = iround(sum(r.x for r in group) / len(group))
-        y = iround(sum(r.y for r in group) / len(group))
-        w = iround(sum(r.w for r in group) / len(group))
-        h = iround(sum(r.h for r in group) / len(group))
-        w = min(w, img.width - x)
-        h = min(h, img.height - y)
-        boxes.append(FaceBox(Rect(x, y, w, h), len(group)))
+        m = group.mean_rect()
+        boxes.append(FaceBox(Rect(m.x, m.y, min(m.w, img.width - m.x),
+                                  min(m.h, img.height - m.y)),
+                             len(group.members)))
     boxes.sort(key=lambda b: (b.rect.y, b.rect.x))
     return boxes
 

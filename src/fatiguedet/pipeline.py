@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -131,94 +132,130 @@ class PipelineConfig:
     alert: fatigue.AlertConfig = fatigue.AlertConfig()
     seed: int = 0
 
+    def __post_init__(self):
+        if self.no_face_policy not in ("skip", "fatigued"):
+            raise ValueError(f"no_face_policy: expected skip or fatigued, "
+                             f"got {self.no_face_policy!r}")
+        self.kernel()  # rejects an unknown kernel or gamma <= 0
+        if not self.svm_c > 0:
+            raise ValueError("svm_c must be positive")
+        if not self.svm_tol > 0:
+            raise ValueError("svm_tol must be positive")
+        if self.svm_max_passes < 1:
+            raise ValueError("svm_max_passes must be >= 1")
+
     def kernel(self) -> KernelSpec:
         return KernelSpec(self.svm_kernel, self.svm_gamma)
 
 
-def _fmt_opt(value) -> str:
+# The key = value codec of config files and PIPE1 settings sections. Each
+# entry: the '#' heading line before its keys (or None), the PipelineConfig
+# field whose dataclass holds the keys (None: the config itself; a PIPE1
+# section is named after its field), and the keys in file order. A key
+# names its field except where _FIELD_OF renames it; a value is parsed by
+# its field's type, and only an `X | None` field may be left empty.
+_CONFIG_TABLE = (
+    ("# face detector ('cascade_path' empty disables detection)", None,
+     ("cascade_path",)),
+    (None, "scan",
+     ("scale_factor", "step_frac", "group_iou", "min_neighbors")),
+    ("# preprocessing", "preprocess",
+     ("low_light", "low_light_threshold", "denoise_spatial_sigma",
+      "denoise_range_sigma", "clahe_tiles", "clahe_clip_limit")),
+    ("# ROI geometry", "geometry",
+     ("face_side", "eye_window", "mouth_window")),
+    ("# PCA ('pca_k' overrides the variance fraction)", None,
+     ("pca_k", "pca_variance")),
+    ("# SVM ('svm_gamma' empty uses 1/(k*var))", None,
+     ("svm_c", "svm_kernel", "svm_gamma", "svm_tol", "svm_max_passes")),
+    ("# inference", None, ("no_face_policy",)),
+    ("# alert unit", "alert",
+     ("t_low", "t_high", "alarm_duration", "high_persist", "water_spray",
+      "sample_period", "realarm_on_recheck")),
+    ("# misc", None, ("seed",)),
+)
+_FIELD_OF = {"eye_window": "eye", "mouth_window": "mouth",
+             "water_spray": "water_spray_enabled"}
+_KEYS_OF = {attr: tuple(k for _, a, keys in _CONFIG_TABLE if a == attr
+                        for k in keys) for _, attr, _ in _CONFIG_TABLE}
+CONFIG_KEYS = frozenset(k for keys in _KEYS_OF.values() for k in keys)
+# cached: get_type_hints evaluates the annotation strings on every call
+_type_hints = cache(get_type_hints)
+
+
+def _format_value(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "on" if value else "off"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, Rect):
+        return f"{value.x} {value.y} {value.w} {value.h}"
     return str(value)
+
+
+def _key_lines(obj, keys: Sequence[str]) -> list[str]:
+    return [f"{key} = {_format_value(getattr(obj, _FIELD_OF.get(key, key)))}"
+            for key in keys]
 
 
 def render_config(cfg: PipelineConfig) -> str:
     """Line-oriented key = value form holding every tunable default."""
-    g = cfg.geometry
-    pairs = [
-        ("# face detector ('cascade_path' empty disables detection)", None),
-        ("cascade_path", _fmt_opt(cfg.cascade_path)),
-        ("scale_factor", repr(cfg.scan.scale_factor)),
-        ("step_frac", repr(cfg.scan.step_frac)),
-        ("group_iou", repr(cfg.scan.group_iou)),
-        ("min_neighbors", str(cfg.scan.min_neighbors)),
-        ("# preprocessing", None),
-        ("low_light", cfg.preprocess.low_light),
-        ("low_light_threshold", repr(cfg.preprocess.low_light_threshold)),
-        ("denoise_spatial_sigma", repr(cfg.preprocess.denoise_spatial_sigma)),
-        ("denoise_range_sigma", repr(cfg.preprocess.denoise_range_sigma)),
-        ("clahe_tiles", str(cfg.preprocess.clahe_tiles)),
-        ("clahe_clip_limit", repr(cfg.preprocess.clahe_clip_limit)),
-        ("# ROI geometry", None),
-        ("face_side", str(g.face_side)),
-        ("eye_window", f"{g.eye.x} {g.eye.y} {g.eye.w} {g.eye.h}"),
-        ("mouth_window", f"{g.mouth.x} {g.mouth.y} {g.mouth.w} {g.mouth.h}"),
-        ("# PCA ('pca_k' overrides the variance fraction)", None),
-        ("pca_k", _fmt_opt(cfg.pca_k)),
-        ("pca_variance", _fmt_opt(cfg.pca_variance)),
-        ("# SVM ('svm_gamma' empty uses 1/(k*var))", None),
-        ("svm_c", repr(cfg.svm_c)),
-        ("svm_kernel", cfg.svm_kernel),
-        ("svm_gamma", _fmt_opt(cfg.svm_gamma)),
-        ("svm_tol", repr(cfg.svm_tol)),
-        ("svm_max_passes", str(cfg.svm_max_passes)),
-        ("# inference", None),
-        ("no_face_policy", cfg.no_face_policy),
-        ("# alert unit", None),
-        ("t_low", str(cfg.alert.t_low)),
-        ("t_high", str(cfg.alert.t_high)),
-        ("alarm_duration", repr(cfg.alert.alarm_duration)),
-        ("high_persist", repr(cfg.alert.high_persist)),
-        ("water_spray", _fmt_opt(cfg.alert.water_spray_enabled)),
-        ("sample_period", repr(cfg.alert.sample_period)),
-        ("realarm_on_recheck", _fmt_opt(cfg.alert.realarm_on_recheck)),
-        ("# misc", None),
-        ("seed", str(cfg.seed)),
-    ]
     lines = []
-    for key, value in pairs:
-        lines.append(key if value is None else f"{key} = {value}")
+    for heading, attr, keys in _CONFIG_TABLE:
+        if heading is not None:
+            lines.append(heading)
+        lines += _key_lines(cfg if attr is None else getattr(cfg, attr), keys)
     return "\n".join(lines) + "\n"
 
 
-def _parse_bool(token: str, key: str) -> bool:
+def _parse_bool(token: str) -> bool:
     low = token.lower()
     if low in ("on", "true", "1", "yes"):
         return True
     if low in ("off", "false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected on/off, got {token!r}")
+    raise ValueError(f"expected on/off, got {token!r}")
 
 
-def _parse_rect(token: str, key: str) -> Rect:
+def _parse_rect(token: str) -> Rect:
     parts = token.split()
     if len(parts) != 4:
-        raise ConfigError(f"{key}: expected 'x y w h', got {token!r}")
+        raise ValueError(f"expected 'x y w h', got {token!r}")
+    return Rect(*(int(v) for v in parts))
+
+
+def _parse_value(hint, token: str):
+    optional = get_args(hint)  # (X, NoneType) for `X | None`
+    if optional:
+        if token == "":
+            return None
+        hint = optional[0]
+    return {bool: _parse_bool, Rect: _parse_rect}.get(hint, hint)(token)
+
+
+def _update(obj, keys: Sequence[str], values: dict[str, str]):
+    """obj with each of keys found in values parsed into its field; a bad
+    value raises ConfigError."""
+    hints = _type_hints(type(obj))
+    changes = {}
+    for key in keys:
+        if key in values:
+            field = _FIELD_OF.get(key, key)
+            try:
+                changes[field] = _parse_value(hints[field], values[key])
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
     try:
-        return Rect(*(int(v) for v in parts))
+        return replace(obj, **changes)
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        raise ConfigError(str(exc)) from None
 
 
-def parse_config(text: str, base: PipelineConfig | None = None,
-                 ) -> PipelineConfig:
-    """Parse key = value lines ('#' comments allowed) over base defaults."""
-    cfg = base if base is not None else PipelineConfig()
+def _key_values(lines: Sequence[str]) -> dict[str, str]:
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -226,76 +263,20 @@ def parse_config(text: str, base: PipelineConfig | None = None,
             raise ConfigError(f"line {line_no}: expected key = value")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
+    return values
 
-    def pop(key, parse, default):
-        if key not in values:
-            return default
-        token = values.pop(key)
-        if token == "":
-            return None
-        try:
-            return parse(token)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
 
-    scan = ScanConfig(
-        scale_factor=pop("scale_factor", float, cfg.scan.scale_factor),
-        step_frac=pop("step_frac", float, cfg.scan.step_frac),
-        group_iou=pop("group_iou", float, cfg.scan.group_iou),
-        min_neighbors=pop("min_neighbors", int, cfg.scan.min_neighbors))
-    prep = PreprocessConfig(
-        low_light=pop("low_light", str, cfg.preprocess.low_light),
-        low_light_threshold=pop("low_light_threshold", float,
-                                cfg.preprocess.low_light_threshold),
-        denoise_spatial_sigma=pop("denoise_spatial_sigma", float,
-                                  cfg.preprocess.denoise_spatial_sigma),
-        denoise_range_sigma=pop("denoise_range_sigma", float,
-                                cfg.preprocess.denoise_range_sigma),
-        clahe_tiles=pop("clahe_tiles", int, cfg.preprocess.clahe_tiles),
-        clahe_clip_limit=pop("clahe_clip_limit", float,
-                             cfg.preprocess.clahe_clip_limit))
-    geometry = RoiGeometry(
-        face_side=pop("face_side", int, cfg.geometry.face_side),
-        eye=pop("eye_window", lambda t: _parse_rect(t, "eye_window"),
-                cfg.geometry.eye),
-        mouth=pop("mouth_window",
-                  lambda t: _parse_rect(t, "mouth_window"),
-                  cfg.geometry.mouth))
-    alert = fatigue.AlertConfig(
-        t_low=pop("t_low", int, cfg.alert.t_low),
-        t_high=pop("t_high", int, cfg.alert.t_high),
-        alarm_duration=pop("alarm_duration", float,
-                           cfg.alert.alarm_duration),
-        high_persist=pop("high_persist", float, cfg.alert.high_persist),
-        water_spray_enabled=pop(
-            "water_spray", lambda t: _parse_bool(t, "water_spray"),
-            cfg.alert.water_spray_enabled),
-        sample_period=pop("sample_period", float, cfg.alert.sample_period),
-        realarm_on_recheck=pop(
-            "realarm_on_recheck",
-            lambda t: _parse_bool(t, "realarm_on_recheck"),
-            cfg.alert.realarm_on_recheck))
-    no_face = pop("no_face_policy", str, cfg.no_face_policy)
-    if no_face not in ("skip", "fatigued"):
-        raise ConfigError(f"no_face_policy: expected skip or fatigued, "
-                          f"got {no_face!r}")
-    out = PipelineConfig(
-        cascade_path=pop("cascade_path", str, cfg.cascade_path),
-        scan=scan, preprocess=prep, geometry=geometry,
-        pca_k=pop("pca_k", int, cfg.pca_k),
-        pca_variance=pop("pca_variance", float, cfg.pca_variance),
-        svm_c=pop("svm_c", float, cfg.svm_c),
-        svm_kernel=pop("svm_kernel", str, cfg.svm_kernel),
-        svm_gamma=pop("svm_gamma", float, cfg.svm_gamma),
-        svm_tol=pop("svm_tol", float, cfg.svm_tol),
-        svm_max_passes=pop("svm_max_passes", int, cfg.svm_max_passes),
-        no_face_policy=no_face, alert=alert,
-        seed=pop("seed", int, cfg.seed))
-    if values:
-        raise ConfigError(f"unknown config keys: {sorted(values)}")
-    return out
+def parse_config(text: str, base: PipelineConfig | None = None,
+                 ) -> PipelineConfig:
+    """Parse key = value lines ('#' comments allowed) over base defaults."""
+    cfg = base if base is not None else PipelineConfig()
+    values = _key_values(text.splitlines())
+    unknown = values.keys() - CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    parts = {attr: _update(getattr(cfg, attr), keys, values)
+             for attr, keys in _KEYS_OF.items() if attr is not None}
+    return _update(replace(cfg, **parts), _KEYS_OF[None], values)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +356,10 @@ def fit_pipeline(records: Sequence[ManifestRecord],
 
 def fit_and_score(records: Sequence[ManifestRecord],
                   config: PipelineConfig = PipelineConfig(),
-                  ) -> tuple[PipelineModel, float]:
+                  ) -> tuple[PipelineModel, float, int]:
     """fit_pipeline, plus the model's accuracy on the training frames it
     kept (frames without a face are left out), from the projections the
-    fit already made."""
+    fit already made, and the number of frames kept."""
     cascade = None
     if config.cascade_path:
         cascade = load_cascade(Path(config.cascade_path).read_text())
@@ -401,7 +382,7 @@ def fit_and_score(records: Sequence[ManifestRecord],
                           preprocess=config.preprocess, pca=pca, svm=svm,
                           cascade=cascade, scan=config.scan)
     preds = np.where(classifier.svm_decision_many(svm, z) >= 0, 1, -1)
-    return model, float(np.mean(preds == y))
+    return model, float(np.mean(preds == y)), len(y)
 
 
 def pipeline_predict(model: PipelineModel,
@@ -618,29 +599,16 @@ def _render_section(name: str, body: str) -> str:
     return f"SECTION {name}\n{body}END\n"
 
 
+def _settings_section(model: PipelineModel, name: str) -> str:
+    lines = _key_lines(getattr(model, name), _KEYS_OF[name])
+    return _render_section(name, "".join(line + "\n" for line in lines))
+
+
 def save_pipeline(model: PipelineModel) -> str:
-    g = model.geometry
-    p = model.preprocess
-    geometry_body = (f"face_side = {g.face_side}\n"
-                     f"eye_window = {g.eye.x} {g.eye.y} {g.eye.w} {g.eye.h}\n"
-                     f"mouth_window = {g.mouth.x} {g.mouth.y} "
-                     f"{g.mouth.w} {g.mouth.h}\n")
-    prep_body = (f"low_light = {p.low_light}\n"
-                 f"low_light_threshold = {p.low_light_threshold!r}\n"
-                 f"denoise_spatial_sigma = {p.denoise_spatial_sigma!r}\n"
-                 f"denoise_range_sigma = {p.denoise_range_sigma!r}\n"
-                 f"clahe_tiles = {p.clahe_tiles}\n"
-                 f"clahe_clip_limit = {p.clahe_clip_limit!r}\n")
-    out = ["PIPE1\n",
-           _render_section("geometry", geometry_body),
-           _render_section("preprocess", prep_body)]
+    out = ["PIPE1\n", _settings_section(model, "geometry"),
+           _settings_section(model, "preprocess")]
     if model.cascade is not None:
-        s = model.scan
-        scan_body = (f"scale_factor = {s.scale_factor!r}\n"
-                     f"step_frac = {s.step_frac!r}\n"
-                     f"group_iou = {s.group_iou!r}\n"
-                     f"min_neighbors = {s.min_neighbors}\n")
-        out.append(_render_section("scan", scan_body))
+        out.append(_settings_section(model, "scan"))
         out.append(_render_section("cascade", save_cascade(model.cascade)))
     out.append(_render_section("pca", save_pca(model.pca)))
     out.append(_render_section("svm", classifier.save_svm(model.svm)))
@@ -671,14 +639,17 @@ def _split_sections(lines: list[str]) -> dict[str, list[str]]:
     return sections
 
 
-def _section_pairs(body: list[str], name: str) -> dict[str, str]:
-    pairs = {}
-    for line in body:
-        if "=" not in line:
-            raise ParseError(f"section {name!r}: expected key = value")
-        key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
-    return pairs
+def _load_settings(sections: dict[str, list[str]], name: str):
+    """The settings object of a PIPE1 section holding exactly its keys."""
+    keys = _KEYS_OF[name]
+    try:
+        values = _key_values(sections[name])
+        if values.keys() != set(keys):
+            raise ConfigError(f"expected keys {list(keys)}, "
+                              f"got {list(values)}")
+        return _update(getattr(PipelineConfig(), name), keys, values)
+    except ConfigError as exc:
+        raise ParseError(f"section {name!r}: {exc}") from None
 
 
 def load_pipeline(text: str) -> PipelineModel:
@@ -692,36 +663,14 @@ def load_pipeline(text: str) -> PipelineModel:
     for required in ("geometry", "preprocess", "pca", "svm"):
         if required not in sections:
             raise ParseError(f"missing section {required!r}")
-    try:
-        gpairs = _section_pairs(sections["geometry"], "geometry")
-        geometry = RoiGeometry(
-            face_side=int(gpairs["face_side"]),
-            eye=_parse_rect(gpairs["eye_window"], "eye_window"),
-            mouth=_parse_rect(gpairs["mouth_window"], "mouth_window"))
-        ppairs = _section_pairs(sections["preprocess"], "preprocess")
-        prep = PreprocessConfig(
-            low_light=ppairs["low_light"],
-            low_light_threshold=float(ppairs["low_light_threshold"]),
-            denoise_spatial_sigma=float(ppairs["denoise_spatial_sigma"]),
-            denoise_range_sigma=float(ppairs["denoise_range_sigma"]),
-            clahe_tiles=int(ppairs["clahe_tiles"]),
-            clahe_clip_limit=float(ppairs["clahe_clip_limit"]))
-    except (KeyError, ValueError, ConfigError) as exc:
-        raise ParseError(f"bad geometry/preprocess section: {exc}") from None
+    geometry = _load_settings(sections, "geometry")
+    prep = _load_settings(sections, "preprocess")
     cascade = None
     scan = ScanConfig()
     if "cascade" in sections:
         cascade = load_cascade("\n".join(sections["cascade"]) + "\n")
         if "scan" in sections:
-            try:
-                spairs = _section_pairs(sections["scan"], "scan")
-                scan = ScanConfig(
-                    scale_factor=float(spairs["scale_factor"]),
-                    step_frac=float(spairs["step_frac"]),
-                    group_iou=float(spairs["group_iou"]),
-                    min_neighbors=int(spairs["min_neighbors"]))
-            except (KeyError, ValueError) as exc:
-                raise ParseError(f"bad scan section: {exc}") from None
+            scan = _load_settings(sections, "scan")
     pca = load_pca("\n".join(sections["pca"]) + "\n")
     svm = classifier.load_svm("\n".join(sections["svm"]) + "\n")
     return PipelineModel(geometry=geometry, preprocess=prep, pca=pca,

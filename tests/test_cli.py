@@ -64,7 +64,9 @@ class TestTrain:
         assert main(["train", "--manifest", str(manifest), "--out-dir",
                      str(tmp_path / "models"), "--detector",
                      str(cascade)]) == 0
-        assert "training accuracy 1.0000" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "trained on 60 frames" in out
+        assert "training accuracy 1.0000" in out
 
 
 class TestEval:
@@ -123,13 +125,30 @@ class TestExitCodes:
         assert main(["bogus-command"]) == 1
         assert main(["train", "--manifest"]) == 1
 
-    @pytest.mark.parametrize("rounds", ["a,b", "3,", "4,0", "-2"])
-    def test_bad_stage_rounds_is_usage_error(self, workdir, rounds, capsys):
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--stage-rounds", v, id=v)
+        for v in ("a,b", "3,", "4,0", "-2")] + [
+        ("--feature-step", "0"), ("--n-frames", "0"),
+        ("--target-rate", "0"), ("--target-rate", "1.5")])
+    def test_bad_stage_rounds_is_usage_error(self, workdir, flag, value,
+                                             capsys):
         out = workdir / "never.txt"
-        assert main(["detect-train", "--out", str(out), "--stage-rounds",
-                     rounds]) == 1
-        assert "--stage-rounds" in capsys.readouterr().err
+        assert main(["detect-train", "--out", str(out), flag, value]) == 1
+        assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t-low", "30"], ["train", "--svm-c", "-1"],
+        ["train", "--svm-gamma", "0"]],
+        ids=["t-low-above-t-high", "svm-c-negative", "svm-gamma-zero"])
+    def test_bad_config_value_is_data_error(self, workdir, argv, capsys):
+        manifest = str(workdir / "data" / "manifest.csv")
+        extra = (["--model", str(workdir / "models" / "model.pipe1")]
+                 if argv[0] == "simulate" else
+                 ["--out-dir", str(workdir / "never")])
+        assert main(argv[:1] + ["--manifest", manifest] + extra
+                    + argv[1:]) == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_data_error(self, workdir):
         assert main(["train", "--manifest", str(workdir / "ghost.csv"),

@@ -485,7 +485,8 @@ class TestDetect:
             scale *= scan.scale_factor
         raw.sort(key=lambda r: (r.y, r.x, r.w, r.h))
         expected = []
-        for group in _group_rects(raw, scan.group_iou):
+        for rect_group in _group_rects(raw, scan.group_iou):
+            group = rect_group.members
             if len(group) < scan.min_neighbors:
                 continue
             x = iround(sum(r.x for r in group) / len(group))

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fatiguedet.detector import ScanConfig
 from fatiguedet.errors import (
     BadLabel,
     ConfigError,
@@ -12,7 +16,9 @@ from fatiguedet.errors import (
     TooFewSamples,
     VersionMismatch,
 )
-from fatiguedet.imaging import Rect
+from fatiguedet.fatigue import AlertConfig
+from fatiguedet.features import RoiGeometry
+from fatiguedet.imaging import PreprocessConfig, Rect
 from fatiguedet.pipeline import (
     ManifestRecord,
     PipelineConfig,
@@ -33,6 +39,91 @@ from fatiguedet.pipeline import (
 from fatiguedet.synth import SyntheticSpec, write_dataset
 
 CFG = PipelineConfig()
+
+DEFAULT_CONFIG_TEXT = (
+    "# face detector ('cascade_path' empty disables detection)\n"
+    "cascade_path = \n"
+    "scale_factor = 1.25\n"
+    "step_frac = 0.08\n"
+    "group_iou = 0.3\n"
+    "min_neighbors = 3\n"
+    "# preprocessing\n"
+    "low_light = auto\n"
+    "low_light_threshold = 60.0\n"
+    "denoise_spatial_sigma = 1.5\n"
+    "denoise_range_sigma = 30.0\n"
+    "clahe_tiles = 8\n"
+    "clahe_clip_limit = 2.0\n"
+    "# ROI geometry\n"
+    "face_side = 100\n"
+    "eye_window = 10 20 80 30\n"
+    "mouth_window = 30 60 40 40\n"
+    "# PCA ('pca_k' overrides the variance fraction)\n"
+    "pca_k = \n"
+    "pca_variance = 0.95\n"
+    "# SVM ('svm_gamma' empty uses 1/(k*var))\n"
+    "svm_c = 1.0\n"
+    "svm_kernel = rbf\n"
+    "svm_gamma = \n"
+    "svm_tol = 0.001\n"
+    "svm_max_passes = 200\n"
+    "# inference\n"
+    "no_face_policy = skip\n"
+    "# alert unit\n"
+    "t_low = 5\n"
+    "t_high = 15\n"
+    "alarm_duration = 10.0\n"
+    "high_persist = 5.0\n"
+    "water_spray = off\n"
+    "sample_period = 1.0\n"
+    "realarm_on_recheck = off\n"
+    "# misc\n"
+    "seed = 0\n")
+
+
+def _floats(lo, hi, exclude_min=False):
+    return st.floats(lo, hi, exclude_min=exclude_min, allow_nan=False)
+
+
+@st.composite
+def _rects(draw, side):
+    x, y = draw(st.integers(0, side - 1)), draw(st.integers(0, side - 1))
+    return Rect(x, y, draw(st.integers(1, side - x)),
+                draw(st.integers(1, side - y)))
+
+
+@st.composite
+def configs(draw):
+    """Valid PipelineConfigs, with each optional field set or None."""
+    side = draw(st.integers(1, 300))
+    t_low = draw(st.integers(1, 1000))
+    return PipelineConfig(
+        cascade_path=draw(st.none() | st.from_regex(r"[\w./-]{1,20}",
+                                                    fullmatch=True)),
+        scan=ScanConfig(draw(_floats(1, 10, exclude_min=True)),
+                        draw(_floats(0, 1, exclude_min=True)),
+                        draw(_floats(0, 1, exclude_min=True)),
+                        draw(st.integers(1, 50))),
+        preprocess=PreprocessConfig(
+            draw(st.sampled_from(["auto", "on", "off"])),
+            draw(_floats(0, 255)), draw(_floats(0.1, 10)),
+            draw(_floats(0.1, 100)), draw(st.integers(1, 16)),
+            draw(_floats(0.1, 10))),
+        geometry=RoiGeometry(side, draw(_rects(side)), draw(_rects(side))),
+        pca_k=draw(st.none() | st.integers(1, 500)),
+        pca_variance=draw(st.none() | _floats(0, 1, exclude_min=True)),
+        svm_c=draw(_floats(0, 1e6, exclude_min=True)),
+        svm_kernel=draw(st.sampled_from(["linear", "rbf"])),
+        svm_gamma=draw(st.none() | _floats(0, 100, exclude_min=True)),
+        svm_tol=draw(_floats(0, 1, exclude_min=True)),
+        svm_max_passes=draw(st.integers(1, 10_000)),
+        no_face_policy=draw(st.sampled_from(["skip", "fatigued"])),
+        alert=AlertConfig(
+            t_low, draw(st.integers(t_low + 1, 2000)),
+            draw(_floats(0, 1e4, exclude_min=True)),
+            draw(_floats(0, 1e4)), draw(st.booleans()),
+            draw(_floats(0, 100, exclude_min=True)), draw(st.booleans())),
+        seed=draw(st.integers(-2**31, 2**31)))
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +216,21 @@ class TestConfig:
     def test_comments_ignored(self):
         cfg = parse_config("# a comment\nseed = 4  # trailing\n")
         assert cfg.seed == 4
+
+    def test_default_text_is_pinned(self):
+        assert render_config(CFG) == DEFAULT_CONFIG_TEXT
+
+    @given(configs())
+    def test_roundtrip_any_valid_config(self, cfg):
+        assert parse_config(render_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("line", [
+        "low_light = bogus", "t_low = 20", "eye_window = 0 0 200 10",
+        "scale_factor = 0.5", "sample_period = 0", "svm_kernel = cubic",
+        "svm_c = -1", "svm_c =", "t_low ="])
+    def test_bad_value_is_config_error(self, line):
+        with pytest.raises(ConfigError):
+            parse_config(line + "\n")
 
 
 class TestFitPipeline:
@@ -273,6 +379,40 @@ class TestPipe1Codec:
         loaded = load_pipeline(text)
         assert loaded.cascade == face_cascade
         assert save_pipeline(loaded) == text
+
+    def test_roundtrip_non_default_settings(self, model, face_cascade):
+        tuned = PipelineModel(
+            geometry=RoiGeometry(100, Rect(5, 15, 80, 30),
+                                 Rect(25, 55, 40, 40)),
+            preprocess=PreprocessConfig("on", 42.5, 2.25, 17.0, 4, 3.5),
+            pca=model.pca, svm=model.svm, cascade=face_cascade,
+            scan=ScanConfig(1.5, 0.1, 0.45, 2))
+        text = save_pipeline(tuned)
+        loaded = load_pipeline(text)
+        assert (loaded.geometry, loaded.preprocess, loaded.scan) == \
+            (tuned.geometry, tuned.preprocess, tuned.scan)
+        assert save_pipeline(loaded) == text
+
+    @pytest.mark.parametrize("old, new", [
+        ("face_side = 100\n", ""),
+        ("clahe_tiles = 8\n", ""),
+        ("min_neighbors = 3\n", ""),
+        ("face_side = 100\n", "face_side = 100\nmystery = 1\n"),
+        ("clahe_tiles = 8\n", "clahe_tiles = 8\nmystery = 1\n"),
+        ("min_neighbors = 3\n", "min_neighbors = 3\nmystery = 1\n"),
+        ("low_light = auto\n", "low_light = bogus\n"),
+        ("min_neighbors = 3\n", "min_neighbors = 0\n")],
+        ids=["missing-geometry", "missing-preprocess", "missing-scan",
+             "unknown-geometry", "unknown-preprocess", "unknown-scan",
+             "bad-low-light", "bad-min-neighbors"])
+    def test_bad_section_key_is_parse_error(self, model, face_cascade,
+                                            old, new):
+        text = save_pipeline(PipelineModel(
+            geometry=model.geometry, preprocess=model.preprocess,
+            pca=model.pca, svm=model.svm, cascade=face_cascade))
+        assert old in text
+        with pytest.raises(ParseError):
+            load_pipeline(text.replace(old, new))
 
     def test_version_mismatch(self):
         with pytest.raises(VersionMismatch):
