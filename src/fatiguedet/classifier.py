@@ -8,6 +8,7 @@ detection.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -22,6 +23,8 @@ from .errors import (
     TooFewSamples,
     VersionMismatch,
 )
+
+logger = logging.getLogger(__name__)
 
 FATIGUED = 1
 ALERT = -1
@@ -139,7 +142,7 @@ def svm_train(x: np.ndarray, y: Sequence[int], C: float = 1.0,
     j maximizing |E_i - E_j| (falling back to a sequential scan when that
     pair makes no progress). The bias is recomputed from free support
     vectors after every successful step. Training stops when a full pass
-    makes no update, or after max_passes passes.
+    makes no update, or after max_passes passes (logged as a warning).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -221,6 +224,9 @@ def svm_train(x: np.ndarray, y: Sequence[int], C: float = 1.0,
                     break
         if changed == 0:
             break
+    else:
+        logger.warning("SMO stopped after max_passes=%d passes without "
+                       "converging", max_passes)
 
     sv = alpha > _SV_EPS
     if not np.any(sv):

@@ -4,6 +4,11 @@ sliding-window scanning, and the CASCADE1 text format.
 
 Feature values are variance-normalized by the window's pixel standard
 deviation (floored at 1), the standard guard against lighting changes.
+One scorer computes them, for the windows of a frame scanned by `detect` and
+for the stacked base-size windows of training alike. It indexes the
+integral image without bounds checks, so it needs every window inside the
+image (`detect` only scans such windows) and every feature rect inside the
+base window (`load_cascade` rejects any other).
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .errors import (
     EmptyInput,
     ImageTooSmall,
     NoFeatures,
-    OutOfBounds,
     ParseError,
     VersionMismatch,
 )
@@ -130,19 +134,14 @@ class ScanConfig:
     min_neighbors: int = 3
 
     def __post_init__(self):
-        if self.scale_factor <= 1.0:
-            raise ValueError("scale_factor must exceed 1")
+        if not 1.0 < self.scale_factor < math.inf:
+            raise ValueError("scale_factor must be finite and exceed 1")
         if not 0 < self.step_frac <= 1:
             raise ValueError("step_frac must be in (0, 1]")
         if not 0 < self.group_iou <= 1:
             raise ValueError("group_iou must be in (0, 1]")
         if self.min_neighbors < 1:
             raise ValueError("min_neighbors must be >= 1")
-
-
-@dataclass
-class EvalStats:
-    stages_evaluated: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -169,54 +168,36 @@ def _scale_sub_rects(feature: HaarFeature, scale: float):
 
 
 def _gather(sums: np.ndarray, xs, ys, x1, y1, x2, y2):
+    """Rectangle sums at window origins (xs, ys): over one integral image
+    with origin arrays, or over window integral images stacked on the last
+    axis, (h + 1, w + 1, n), with origin 0, 0."""
     return (sums[ys + y2, xs + x2] - sums[ys + y1, xs + x2]
             - sums[ys + y2, xs + x1] + sums[ys + y1, xs + x1])
 
 
-def _window_divisor(ii: IntegralImage, xs, ys, win_w: int, win_h: int):
+def _window_divisor(sums: np.ndarray, squares: np.ndarray, xs, ys,
+                    win_w: int, win_h: int):
     """max(pixel standard deviation, 1) per window origin."""
     n = win_w * win_h
-    s1 = _gather(ii.sums, xs, ys, 0, 0, win_w, win_h).astype(np.float64)
-    s2 = _gather(ii.squares, xs, ys, 0, 0, win_w, win_h).astype(np.float64)
+    s1 = _gather(sums, xs, ys, 0, 0, win_w, win_h).astype(np.float64)
+    s2 = _gather(squares, xs, ys, 0, 0, win_w, win_h).astype(np.float64)
     mean = s1 / n
     var = s2 / n - mean * mean
     return np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)
 
 
-def _raw_feature_values(sums: np.ndarray, scaled_subs, xs, ys):
-    total = None
-    for sx1, sy1, sx2, sy2, actual, coeff in scaled_subs:
-        term = (_gather(sums, xs, ys, sx1, sy1, sx2, sy2) / actual) * coeff
-        total = term if total is None else total + term
-    return total
-
-
-def eval_feature(ii: IntegralImage, feature: HaarFeature,
-                 window_origin: tuple[int, int], scale: float,
-                 base_w: int, base_h: int) -> float:
-    """Variance-normalized feature value for one window placement.
-
-    The raw rectangle-sum difference is divided by the window standard
-    deviation and by scale^2, bringing values from any scale into base
-    window units so stump thresholds transfer across scales.
-    """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    ox, oy = window_origin
-    win_w, win_h = iround(base_w * scale), iround(base_h * scale)
-    if ox < 0 or oy < 0 or ox + win_w > ii.width or oy + win_h > ii.height:
-        raise OutOfBounds(
-            f"window {win_w}x{win_h} at ({ox}, {oy}) outside "
-            f"{ii.width}x{ii.height} image")
-    subs = _scale_sub_rects(feature, scale)
-    for sx1, sy1, sx2, sy2, _, _ in subs:
-        if ox + sx2 > ii.width or oy + sy2 > ii.height:
-            raise OutOfBounds("scaled feature rect outside image")
-    xs = np.array([ox])
-    ys = np.array([oy])
-    raw = _raw_feature_values(ii.sums, subs, xs, ys)
-    div = (scale * scale) * _window_divisor(ii, xs, ys, win_w, win_h)
-    return float((raw / div)[0])
+def _feature_values(sums: np.ndarray, scaled_features, xs, ys,
+                    div) -> np.ndarray:
+    """Values of features scaled by _scale_sub_rects, one row per window
+    and one column per feature: the weighted rectangle means over div."""
+    out = np.empty((len(div), len(scaled_features)))
+    for col, subs in enumerate(scaled_features):
+        raw = None
+        for sx1, sy1, sx2, sy2, actual, coeff in subs:
+            term = (_gather(sums, xs, ys, sx1, sy1, sx2, sy2) / actual) * coeff
+            raw = term if raw is None else raw + term
+        out[:, col] = raw / div
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -233,50 +214,6 @@ def stump_predict(values: np.ndarray, threshold: float,
                   polarity: int) -> np.ndarray:
     """+1 where polarity * (value - threshold) >= 0, else -1."""
     return np.where(polarity * (values - threshold) >= 0, 1, -1)
-
-
-def train_weak(values: np.ndarray, labels: np.ndarray,
-               weights: np.ndarray) -> StumpFit:
-    """Best decision stump by weighted error, in one sorted scan.
-
-    Candidate thresholds are midpoints between consecutive distinct values
-    plus -inf/+inf sentinels. Ties prefer the smallest threshold, then
-    polarity +1.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels)
-    weights = np.asarray(weights, dtype=np.float64)
-    n = len(values)
-    if n == 0:
-        raise EmptyInput("no samples")
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
-    if not np.all(np.isin(labels, (1, -1))):
-        raise ValueError("labels must be +1 or -1")
-
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    wpos = np.where(labels[order] == 1, weights[order], 0.0)
-    wneg = np.where(labels[order] == -1, weights[order], 0.0)
-    cpos = np.concatenate([[0.0], np.cumsum(wpos)])
-    cneg = np.concatenate([[0.0], np.cumsum(wneg)])
-    total_pos = cpos[-1]
-    total_neg = cneg[-1]
-
-    # candidate split i means: samples [0, i) fall below the threshold
-    splits = [0] + [i for i in range(1, n) if v[i] > v[i - 1]] + [n]
-    thresholds = [-math.inf] + [float(v[i - 1] + v[i]) / 2.0
-                                for i in splits[1:-1]] + [math.inf]
-    best: StumpFit | None = None
-    for split, thr in zip(splits, thresholds):
-        # polarity +1 predicts +1 at/above the threshold
-        err_p = cpos[split] + (total_neg - cneg[split])
-        err_m = (total_pos + total_neg) - err_p
-        if best is None or err_p < best.error:
-            best = StumpFit(thr, 1, float(err_p))
-        if err_m < best.error:
-            best = StumpFit(thr, -1, float(err_m))
-    return best
 
 
 @dataclass(frozen=True)
@@ -314,38 +251,82 @@ def _presort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, tied
 
 
+def _split_errors(order: np.ndarray, labels: np.ndarray,
+                  weights: np.ndarray, cpos: np.ndarray, cneg: np.ndarray):
+    """Weighted error of the polarity +1 stump at every split (row) of each
+    presorted column, and the total weight. Split i puts the i smallest
+    values below the threshold; cpos and cneg are scratch of n + 1 rows
+    whose first row is zero."""
+    np.cumsum(np.where(labels == 1, weights, 0.0)[order], axis=0,
+              out=cpos[1:])
+    np.cumsum(np.where(labels == -1, weights, 0.0)[order], axis=0,
+              out=cneg[1:])
+    total_neg = cneg[-1]
+    return cpos + (total_neg - cneg), cpos[-1] + total_neg
+
+
 def _best_feature_errors(order: np.ndarray, tied: np.ndarray,
                          labels: np.ndarray,
                          weights: np.ndarray) -> np.ndarray:
-    """Per-feature minimal stump error over presorted columns; matches
-    train_weak arithmetic.
+    """Per-feature minimal stump error over presorted columns.
 
+    Polarity -1 errs where +1 is right, so its error is total - err_p.
     Rounding is monotone, so the smallest total - err_p over the valid
     splits is total - (the largest valid err_p), bit for bit.
     """
     n, nf = order.shape
-    wpos = np.where(labels == 1, weights, 0.0)
-    wneg = np.where(labels == -1, weights, 0.0)
     width = min(nf, _CHUNK)
     cpos = np.zeros((n + 1, width))
     cneg = np.zeros((n + 1, width))
     out = np.empty(nf)
     for lo in range(0, nf, _CHUNK):
-        idx = order[:, lo:lo + _CHUNK]
         mask = tied[:, lo:lo + _CHUNK]
-        m = idx.shape[1]
-        cp, cn = cpos[:, :m], cneg[:, :m]
-        np.cumsum(wpos[idx], axis=0, out=cp[1:])
-        np.cumsum(wneg[idx], axis=0, out=cn[1:])
-        total_pos = cp[-1]
-        total_neg = cn[-1]
-        err_p = cp + (total_neg - cn)
+        m = mask.shape[1]
+        err_p, total = _split_errors(order[:, lo:lo + _CHUNK], labels,
+                                     weights, cpos[:, :m], cneg[:, :m])
         np.copyto(err_p, np.inf, where=mask)
         best_p = err_p.min(axis=0)
         np.copyto(err_p, -np.inf, where=mask)
-        best_m = (total_pos + total_neg) - err_p.max(axis=0)
-        out[lo:lo + m] = np.minimum(best_p, best_m)
+        out[lo:lo + m] = np.minimum(best_p, total - err_p.max(axis=0))
     return out
+
+
+def _best_stump(values: np.ndarray, order: np.ndarray, tied: np.ndarray,
+                labels: np.ndarray, weights: np.ndarray) -> StumpFit:
+    """Best stump on one presorted column: the first minimum over the
+    candidates in split order, polarity +1 before -1 at each split. Its
+    error is the column's entry in _best_feature_errors."""
+    n = len(order)
+    err_p, total = _split_errors(order, labels, weights, np.zeros(n + 1),
+                                 np.zeros(n + 1))
+    err = np.stack([err_p, total - err_p], axis=1)
+    err[tied] = np.inf
+    split, minus = divmod(int(np.argmin(err)), 2)
+    v = np.concatenate([[-math.inf], values[order], [math.inf]])
+    threshold = float(v[split] + v[split + 1]) / 2.0
+    return StumpFit(threshold, -1 if minus else 1, float(err[split, minus]))
+
+
+def train_weak(values: np.ndarray, labels: np.ndarray,
+               weights: np.ndarray) -> StumpFit:
+    """Best decision stump by weighted error: the one-column case of the
+    presorted search that boost runs.
+
+    Candidate thresholds are midpoints between consecutive distinct values
+    plus -inf/+inf sentinels. Ties prefer the smallest threshold, then
+    polarity +1.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels)
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(values) == 0:
+        raise EmptyInput("no samples")
+    if np.any(weights < 0) or weights.sum() <= 0:
+        raise ValueError("weights must be non-negative with positive sum")
+    if not np.all(np.isin(labels, (1, -1))):
+        raise ValueError("labels must be +1 or -1")
+    order, tied = _presort(values[:, None])
+    return _best_stump(values, order[:, 0], tied[:, 0], labels, weights)
 
 
 def boost(values: np.ndarray, labels: np.ndarray,
@@ -370,9 +351,8 @@ def boost(values: np.ndarray, labels: np.ndarray,
     picked: list[BoostRound] = []
     for _ in range(rounds):
         w = w / w.sum()
-        per_feature = _best_feature_errors(order, tied, labels, w)
-        f = int(np.argmin(per_feature))
-        fit = train_weak(values[:, f], labels, w)
+        f = int(np.argmin(_best_feature_errors(order, tied, labels, w)))
+        fit = _best_stump(values[:, f], order[:, f], tied[:, f], labels, w)
         eps = min(max(fit.error, _EPS_CLAMP), 1.0 - _EPS_CLAMP)
         beta = eps / (1.0 - eps)
         alpha = math.log(1.0 / beta)
@@ -409,37 +389,20 @@ def feature_grid(base_w: int = 24, base_h: int = 24,
     return pool
 
 
-def _stack_windows(windows: Sequence[IntegralImage], base_w: int,
-                   base_h: int) -> tuple[np.ndarray, np.ndarray]:
+def feature_value_matrix(windows: Sequence[IntegralImage],
+                         features: Sequence[HaarFeature], base_w: int,
+                         base_h: int) -> np.ndarray:
+    """Variance-normalized feature values, shape (n windows, n features)."""
     for ii in windows:
         if ii.width != base_w or ii.height != base_h:
             raise ValueError(
                 f"window is {ii.width}x{ii.height}, expected "
                 f"{base_w}x{base_h}")
-    sums = np.stack([ii.sums for ii in windows])
-    squares = np.stack([ii.squares for ii in windows])
-    return sums, squares
-
-
-def feature_value_matrix(windows: Sequence[IntegralImage],
-                         features: Sequence[HaarFeature], base_w: int,
-                         base_h: int) -> np.ndarray:
-    """Variance-normalized feature values, shape (n windows, n features)."""
-    sums, squares = _stack_windows(windows, base_w, base_h)
-    n = base_w * base_h
-    s1 = sums[:, base_h, base_w].astype(np.float64)
-    s2 = squares[:, base_h, base_w].astype(np.float64)
-    mean = s1 / n
-    div = np.maximum(np.sqrt(np.maximum(s2 / n - mean * mean, 0.0)), 1.0)
-    out = np.empty((len(windows), len(features)))
-    for fi, feat in enumerate(features):
-        raw = None
-        for x1, y1, x2, y2, actual, coeff in _scale_sub_rects(feat, 1.0):
-            term = ((sums[:, y2, x2] - sums[:, y1, x2]
-                     - sums[:, y2, x1] + sums[:, y1, x1]) / actual) * coeff
-            raw = term if raw is None else raw + term
-        out[:, fi] = raw / div
-    return out
+    sums = np.stack([ii.sums for ii in windows], axis=-1)
+    squares = np.stack([ii.squares for ii in windows], axis=-1)
+    div = _window_divisor(sums, squares, 0, 0, base_w, base_h)
+    return _feature_values(sums, [_scale_sub_rects(f, 1.0) for f in features],
+                           0, 0, div)
 
 
 def stage_scores(stage: Stage, values_by_weak: np.ndarray) -> np.ndarray:
@@ -523,44 +486,29 @@ def train_cascade(positives: Sequence[IntegralImage],
 # ---------------------------------------------------------------------------
 # Scanning
 
-def _prepared_stages(cascade: Cascade, scale: float):
-    prepared = []
-    for stage in cascade.stages:
-        weaks = [(_scale_sub_rects(weak.feature, scale), weak.threshold,
-                  weak.polarity, alpha) for weak, alpha in stage.weak]
-        prepared.append((weaks, stage.threshold))
-    return prepared
+def _cascade_pass(ii: IntegralImage, cascade: Cascade, xs: np.ndarray,
+                  ys: np.ndarray, scale: float) -> np.ndarray:
+    """Indices of the windows at origins (xs, ys) and the given scale that
+    pass every stage; a window leaves at the first stage it fails.
 
-
-def _stage_score_at(ii: IntegralImage, prepared_weaks, xs, ys, div):
-    total = np.zeros(len(xs))
-    for subs, threshold, polarity, alpha in prepared_weaks:
-        val = _raw_feature_values(ii.sums, subs, xs, ys) / div
-        votes = polarity * (val - threshold) >= 0
-        total += np.where(votes, alpha, 0.0)
-    return total
-
-
-def classify_window(ii: IntegralImage, cascade: Cascade,
-                    origin: tuple[int, int], scale: float,
-                    stats: EvalStats | None = None) -> bool:
-    """Run the attentional cascade on one window; stops at the first
-    failing stage."""
-    ox, oy = origin
+    Dividing by scale^2 as well as the window standard deviation brings
+    values from any scale into base window units, so stump thresholds
+    transfer across scales.
+    """
     win_w = iround(cascade.base_w * scale)
     win_h = iround(cascade.base_h * scale)
-    if ox < 0 or oy < 0 or ox + win_w > ii.width or oy + win_h > ii.height:
-        raise OutOfBounds(f"window at ({ox}, {oy}) scale {scale} outside "
-                          f"{ii.width}x{ii.height} image")
-    xs = np.array([ox])
-    ys = np.array([oy])
-    div = (scale * scale) * _window_divisor(ii, xs, ys, win_w, win_h)
-    for weaks, threshold in _prepared_stages(cascade, scale):
-        if stats is not None:
-            stats.stages_evaluated += 1
-        if _stage_score_at(ii, weaks, xs, ys, div)[0] < threshold:
-            return False
-    return True
+    div = (scale * scale) * _window_divisor(ii.sums, ii.squares, xs, ys,
+                                            win_w, win_h)
+    alive = np.arange(len(xs))
+    for stage in cascade.stages:
+        scaled = [_scale_sub_rects(weak.feature, scale)
+                  for weak, _ in stage.weak]
+        values = _feature_values(ii.sums, scaled, xs[alive], ys[alive],
+                                 div[alive])
+        alive = alive[stage_scores(stage, values) >= stage.threshold]
+        if not len(alive):
+            break
+    return alive
 
 
 class _RectGroup:
@@ -623,16 +571,8 @@ def detect(img: Image, cascade: Cascade,
         ys0 = np.arange(0, img.height - win_h + 1, step)
         xs = np.repeat(xs0, len(ys0))
         ys = np.tile(ys0, len(xs0))
-        div = (scale * scale) * _window_divisor(ii, xs, ys, win_w, win_h)
-        alive = np.arange(len(xs))
-        for weaks, threshold in _prepared_stages(cascade, scale):
-            scores = _stage_score_at(ii, weaks, xs[alive], ys[alive],
-                                     div[alive])
-            alive = alive[scores >= threshold]
-            if not len(alive):
-                break
         raw.extend(Rect(int(xs[i]), int(ys[i]), win_w, win_h)
-                   for i in alive)
+                   for i in _cascade_pass(ii, cascade, xs, ys, scale))
         scale *= scan.scale_factor
     raw.sort(key=lambda r: (r.y, r.x, r.w, r.h))
     boxes: list[FaceBox] = []
@@ -699,6 +639,10 @@ def load_cascade(text: str) -> Cascade:
                 raise ParseError(f"line {pos + 1}: expected WEAK line")
             try:
                 rect = Rect(int(w[2]), int(w[3]), int(w[4]), int(w[5]))
+                if (rect.x < 0 or rect.y < 0 or rect.x2 > base_w
+                        or rect.y2 > base_h):
+                    raise ValueError(f"{rect} outside the {base_w}x{base_h} "
+                                     f"base window")
                 weak.append((WeakClassifier(HaarFeature(w[1], rect),
                                             float(w[6]), int(w[7])),
                              float(w[8])))

@@ -9,8 +9,9 @@ crossing the upper threshold escalates to vehicle-side actions.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Union
 
 
 class FatigueLevel(enum.IntEnum):
@@ -70,10 +71,11 @@ class AlertConfig:
     def __post_init__(self):
         if not (1 <= self.t_low < self.t_high):
             raise ValueError("need 1 <= t_low < t_high")
-        if self.alarm_duration <= 0 or self.sample_period <= 0:
-            raise ValueError("durations must be positive")
-        if self.high_persist < 0:
-            raise ValueError("high_persist must be >= 0")
+        if not (0 < self.alarm_duration < math.inf
+                and 0 < self.sample_period < math.inf):
+            raise ValueError("durations must be positive and finite")
+        if not 0 <= self.high_persist < math.inf:
+            raise ValueError("high_persist must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,12 @@ def _fmt(x: float) -> str:
     return str(int(x)) if float(x) == int(x) else repr(float(x))
 
 
-def step(acc: FatigueAccumulator, label: int,
+def step(acc: FatigueAccumulator, label: int | None,
          sample_period: float = 1.0) -> FatigueAccumulator:
-    """Advance the running sum by one classifier output: r' = max(0, r + s)."""
+    """Advance the running sum by one classifier output: r' = max(0, r + s).
+    A tick without an output (None) advances the time only."""
+    if label is None:
+        return FatigueAccumulator(acc.r, acc.t + sample_period)
     if label not in (1, -1):
         raise ValueError(f"label must be +1 or -1, got {label}")
     return FatigueAccumulator(max(0, acc.r + label), acc.t + sample_period)
@@ -195,9 +200,12 @@ class Trace:
     config: AlertConfig
     ticks: list[TraceTick]
     events: list[ActuatorEvent]
+    labels: list[int | None]  # the output folded at each tick
 
-    def render(self) -> str:
-        """Line-oriented text form, suitable for diff-based golden tests."""
+    def render(self, with_labels: bool = False) -> str:
+        """Line-oriented text form, suitable for diff-based golden tests;
+        with_labels puts a LABEL line (the output, or 'skip' for None)
+        after each TICK line."""
         c = self.config
         lines = [
             "# t_low=%d t_high=%d alarm_duration=%s high_persist=%s "
@@ -209,27 +217,35 @@ class Trace:
         by_time: dict[float, list[ActuatorEvent]] = {}
         for ev in self.events:
             by_time.setdefault(ev.t, []).append(ev)
-        for tick in self.ticks:
+        for tick, label in zip(self.ticks, self.labels):
             lines.append(f"TICK {_fmt(tick.t)} {tick.r} "
                          f"{tick.level.label} {tick.state.render()}")
+            if with_labels:
+                text = "skip" if label is None else f"{label:+d}"
+                lines.append(f"LABEL {_fmt(tick.t)} {text}")
             for ev in by_time.get(tick.t, ()):
                 lines.append(f"EVENT {_fmt(ev.t)} {ev.kind.value}")
         return "\n".join(lines) + "\n"
 
 
-def simulate(labels: Sequence[int], config: AlertConfig) -> Trace:
-    """Fold step -> level -> alert_step over a label sequence from rest."""
-    if len(labels) == 0:
-        raise ValueError("label sequence must be non-empty")
+def simulate(labels: Iterable[int | None], config: AlertConfig) -> Trace:
+    """Fold step -> level -> alert_step over classifier outputs from rest.
+
+    Outputs are drawn one at a time, so the alert step of one returns
+    before the next is drawn (a stream's frame i is handled before frame
+    i + 1 is read). None is a tick without an output, such as a frame with
+    no face: time advances and the running sum stays. An empty input gives
+    an empty trace.
+    """
     acc = FatigueAccumulator()
     state: AlertState = IDLE
-    ticks: list[TraceTick] = []
-    events: list[ActuatorEvent] = []
+    trace = Trace(config, [], [], [])
     for label in labels:
         acc = step(acc, label, config.sample_period)
         lvl = level(acc, config)
         state, evs = alert_step(state, lvl, config.sample_period, config,
                                 now=acc.t)
-        events.extend(evs)
-        ticks.append(TraceTick(acc.t, acc.r, lvl, state))
-    return Trace(config, ticks, events)
+        trace.events.extend(evs)
+        trace.ticks.append(TraceTick(acc.t, acc.r, lvl, state))
+        trace.labels.append(label)
+    return trace

@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
-from typing import Sequence, get_args, get_type_hints
+from typing import Iterable, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -143,6 +143,8 @@ class PipelineConfig:
             raise ValueError("svm_tol must be positive")
         if self.svm_max_passes < 1:
             raise ValueError("svm_max_passes must be >= 1")
+        if self.pca_variance is not None and not 0 < self.pca_variance <= 1:
+            raise ValueError("pca_variance must be in (0, 1]")
 
     def kernel(self) -> KernelSpec:
         return KernelSpec(self.svm_kernel, self.svm_gamma)
@@ -402,29 +404,23 @@ def pipeline_predict(model: PipelineModel,
 @dataclass
 class StreamTrace:
     trace: fatigue.Trace
-    labels: list[int | None]  # None marks a skipped (no-face) frame
-    skipped: int
+    skipped: int  # frames without a face box
+
+    @property
+    def labels(self) -> list[int | None]:
+        """Per-frame label; None marks a skipped (no-face) frame."""
+        return self.trace.labels
 
     def render(self) -> str:
-        base = self.trace.render().splitlines()
-        out = [base[0]]
-        tick_idx = 0
-        for line in base[1:]:
-            out.append(line)
-            if line.startswith("TICK"):
-                label = self.labels[tick_idx]
-                t = line.split()[1]
-                text = "skip" if label is None else f"{label:+d}"
-                out.append(f"LABEL {t} {text}")
-                tick_idx += 1
-        return "\n".join(out) + "\n"
+        return self.trace.render(with_labels=True)
 
 
-def infer_stream(model: PipelineModel, frames: Sequence[Image],
+def infer_stream(model: PipelineModel, frames: Iterable[Image],
                  alert_config: fatigue.AlertConfig = fatigue.AlertConfig(),
                  no_face_policy: str = "skip",
                  boxes: Sequence[Rect | None] | None = None) -> StreamTrace:
-    """Classify frames in order and drive the alert unit.
+    """Classify frames in order and drive the alert unit, one frame at a
+    time.
 
     Frames with no detected face leave the running sum unchanged under the
     "skip" policy, or count as fatigued under "fatigued"; time advances
@@ -434,43 +430,24 @@ def infer_stream(model: PipelineModel, frames: Sequence[Image],
     """
     if no_face_policy not in ("skip", "fatigued"):
         raise ValueError(f"bad no_face_policy {no_face_policy!r}")
-    acc = fatigue.FatigueAccumulator()
-    state: fatigue.AlertState = fatigue.IDLE
-    ticks: list[fatigue.TraceTick] = []
-    events: list[fatigue.ActuatorEvent] = []
-    labels: list[int | None] = []
     skipped = 0
-    for i, img in enumerate(frames):
-        img = preprocess(img, model.preprocess)
-        fallback = boxes[i] if boxes is not None else None
-        if fallback is None and model.cascade is None:
-            fallback = Rect(0, 0, img.width, img.height)
-        box = frame_box(img, model.cascade, model.scan, fallback)
-        label: int | None
-        if box is None:
-            skipped += 1
-            if no_face_policy == "fatigued":
-                label = 1
+
+    def frame_labels():
+        nonlocal skipped
+        for i, img in enumerate(frames):
+            img = preprocess(img, model.preprocess)
+            fallback = boxes[i] if boxes is not None else None
+            box = frame_box(img, model.cascade, model.scan, fallback)
+            if box is None:
+                skipped += 1
+                yield 1 if no_face_policy == "fatigued" else None
             else:
-                label = None
-        else:
-            vec = features.frame_features(img, box, model.geometry)
-            z = features.pca_project(model.pca, vec)
-            label = classifier.svm_predict(model.svm, z)
-        if label is None:
-            acc = fatigue.FatigueAccumulator(
-                acc.r, acc.t + alert_config.sample_period)
-        else:
-            acc = fatigue.step(acc, label, alert_config.sample_period)
-        lvl = fatigue.level(acc, alert_config)
-        state, evs = fatigue.alert_step(state, lvl,
-                                        alert_config.sample_period,
-                                        alert_config, now=acc.t)
-        events.extend(evs)
-        ticks.append(fatigue.TraceTick(acc.t, acc.r, lvl, state))
-        labels.append(label)
-    trace = fatigue.Trace(alert_config, ticks, events)
-    return StreamTrace(trace, labels, skipped)
+                vec = features.frame_features(img, box, model.geometry)
+                z = features.pca_project(model.pca, vec)
+                yield classifier.svm_predict(model.svm, z)
+
+    trace = fatigue.simulate(frame_labels(), alert_config)
+    return StreamTrace(trace, skipped)
 
 
 # ---------------------------------------------------------------------------

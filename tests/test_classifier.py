@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -236,6 +238,16 @@ class TestTrainValidation:
         assert np.array_equal(a.support_vectors, b.support_vectors)
         assert np.array_equal(a.dual_coef, b.dual_coef)
         assert a.bias == b.bias
+
+    def test_stop_at_max_passes_is_logged(self, rng, caplog):
+        x, y = separable_set(rng, n=14, k=3)
+        with caplog.at_level(logging.WARNING, "fatiguedet.classifier"):
+            svm_train(x, y, C=1.0)
+            assert caplog.records == []
+            svm_train(x, y, C=1.0, max_passes=1)
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "max_passes=1" in record.getMessage()
 
 
 class TestCrossValidate:

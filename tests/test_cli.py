@@ -139,8 +139,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--t-low", "30"], ["train", "--svm-c", "-1"],
-        ["train", "--svm-gamma", "0"]],
-        ids=["t-low-above-t-high", "svm-c-negative", "svm-gamma-zero"])
+        ["train", "--svm-gamma", "0"], ["simulate", "--sample-period", "nan"],
+        ["simulate", "--alarm-duration", "nan"],
+        ["train", "--pca-variance", "nan"]],
+        ids=["t-low-above-t-high", "svm-c-negative", "svm-gamma-zero",
+             "sample-period-nan", "alarm-duration-nan", "pca-variance-nan"])
     def test_bad_config_value_is_data_error(self, workdir, argv, capsys):
         manifest = str(workdir / "data" / "manifest.csv")
         extra = (["--model", str(workdir / "models" / "model.pipe1")]
@@ -153,6 +156,17 @@ class TestExitCodes:
     def test_data_error(self, workdir):
         assert main(["train", "--manifest", str(workdir / "ghost.csv"),
                      "--out-dir", str(workdir / "x")]) == 2
+
+    def test_cascade_rect_outside_window_is_model_error(self, workdir,
+                                                       tmp_path, capsys):
+        cascade = tmp_path / "cascade.txt"
+        cascade.write_text("CASCADE1 24 24 1\nSTAGE 1 0.5\n"
+                           "WEAK 2H -4 -2 30 10 0.25 1 1.0\n")
+        assert main(["train", "--manifest",
+                     str(workdir / "data" / "manifest.csv"), "--out-dir",
+                     str(tmp_path / "never"), "--detector",
+                     str(cascade)]) == 3
+        assert "line 3" in capsys.readouterr().err
 
     def test_model_error(self, workdir):
         bad_model = workdir / "data" / "manifest.csv"  # not a PIPE1 file

@@ -9,7 +9,6 @@ from fatiguedet.detector import (
     BoostResult,
     BoostRound,
     Cascade,
-    EvalStats,
     HaarFeature,
     ScanConfig,
     Stage,
@@ -17,9 +16,7 @@ from fatiguedet.detector import (
     WeakClassifier,
     _group_rects,
     boost,
-    classify_window,
     detect,
-    eval_feature,
     feature_grid,
     feature_value_matrix,
     load_cascade,
@@ -32,7 +29,6 @@ from fatiguedet.detector import (
 from fatiguedet.errors import (
     EmptyInput,
     ImageTooSmall,
-    OutOfBounds,
     ParseError,
     VersionMismatch,
 )
@@ -57,6 +53,67 @@ def any_feature(kind, x, y, w, h):
     return HaarFeature(kind, Rect(x, y, max(w, 6), max(h, 6)))
 
 
+# Scalar reference for the cascade scorer, one window at a time: its own
+# corner gathering, area renormalization and window divisor, in the same
+# floating-point operations as the vectorized scorer, so the two agree bit
+# for bit.
+
+def corner_sum(sums, ox, oy, x1, y1, x2, y2):
+    return (sums[oy + y2, ox + x2] - sums[oy + y1, ox + x2]
+            - sums[oy + y2, ox + x1] + sums[oy + y1, ox + x1])
+
+
+def eval_feature(ii, feature, origin, scale, base_w=24, base_h=24):
+    """Variance-normalized value of feature in the window at origin."""
+    ox, oy = origin
+    win_w, win_h = iround(base_w * scale), iround(base_h * scale)
+    n = win_w * win_h
+    mean = float(corner_sum(ii.sums, ox, oy, 0, 0, win_w, win_h)) / n
+    var = float(corner_sum(ii.squares, ox, oy, 0, 0, win_w, win_h)) / n \
+        - mean * mean
+    div = (scale * scale) * max(math.sqrt(max(var, 0.0)), 1.0)
+    raw = None
+    for x1, y1, x2, y2, wgt in feature.sub_rects():
+        sx1, sy1, sx2, sy2 = (iround(c * scale) for c in (x1, y1, x2, y2))
+        actual = float((sx2 - sx1) * (sy2 - sy1))
+        ideal = (x2 - x1) * (y2 - y1) * scale * scale
+        term = (corner_sum(ii.sums, ox, oy, sx1, sy1, sx2, sy2) / actual) \
+            * (wgt * ideal)
+        raw = term if raw is None else raw + term
+    return raw / div
+
+
+def classify_window(ii, cascade, origin, scale):
+    """True when the window passes every stage of the cascade."""
+    for stage in cascade.stages:
+        score = 0.0
+        for weak, alpha in stage.weak:
+            value = eval_feature(ii, weak.feature, origin, scale,
+                                 cascade.base_w, cascade.base_h)
+            if weak.polarity * (value - weak.threshold) >= 0:
+                score += alpha
+        if score < stage.threshold:
+            return False
+    return True
+
+
+def scorer_value(ii, feature, origin, scale):
+    """The vectorized scorer's value for one window of a frame."""
+    xs, ys = np.array([origin[0]]), np.array([origin[1]])
+    win = iround(24 * scale)
+    div = (scale * scale) * detector._window_divisor(ii.sums, ii.squares, xs,
+                                                     ys, win, win)
+    subs = [detector._scale_sub_rects(feature, scale)]
+    return float(detector._feature_values(ii.sums, subs, xs, ys, div)[0, 0])
+
+
+def passes(ii, cascade, origin, scale):
+    """Whether detect's cascade pass accepts the window at origin."""
+    alive = detector._cascade_pass(ii, cascade, np.array([origin[0]]),
+                                   np.array([origin[1]]), scale)
+    return len(alive) == 1
+
+
 class TestHaarFeature:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
@@ -77,8 +134,20 @@ class TestHaarFeature:
         img = gray(np.full((80, 80), value))
         ii = integral_image(img)
         feat = any_feature(kind, 0, 0, 24, 24)
-        out = eval_feature(ii, feat, (1, 2), scale, 24, 24)
-        assert out == 0.0
+        assert scorer_value(ii, feat, (1, 2), scale) == 0.0
+        assert eval_feature(ii, feat, (1, 2), scale) == 0.0
+
+    @pytest.mark.parametrize("kind", ["2H", "2V", "3H", "3V", "4"])
+    @given(scale=st.floats(1.0, 3.0), data=st.data())
+    def test_scorer_matches_scalar_reference(self, kind, scale, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        ii = integral_image(gray(rng.integers(0, 256, size=(80, 80))))
+        win = iround(24 * scale)
+        origin = (data.draw(st.integers(0, 80 - win)),
+                  data.draw(st.integers(0, 80 - win)))
+        feat = any_feature(kind, 2, 3, 15, 17)
+        assert scorer_value(ii, feat, origin, scale) == \
+            eval_feature(ii, feat, origin, scale)
 
 
 class TestEvalFeature:
@@ -90,14 +159,17 @@ class TestEvalFeature:
         arr[:, :12] = 255
         ii = integral_image(gray(arr))
         feat = HaarFeature("2H", Rect(0, 0, 24, 24))
-        assert eval_feature(ii, feat, (0, 0), 1.0, 24, 24) == 576.0
+        assert feature_value_matrix([ii], [feat], 24, 24)[0, 0] == 576.0
+        assert eval_feature(ii, feat, (0, 0), 1.0) == 576.0
 
     def test_matches_pixel_loop_oracle(self, rng):
         pixels = rng.integers(0, 256, size=(40, 40))
         ii = integral_image(gray(pixels))
+        crop = integral_image(gray(pixels[7:31, 5:29]))
         for kind in ("2H", "2V", "3H", "3V", "4"):
             feat = any_feature(kind, 2, 2, 18, 18)
-            got = eval_feature(ii, feat, (5, 7), 1.0, 24, 24)
+            got = eval_feature(ii, feat, (5, 7), 1.0)
+            assert feature_value_matrix([crop], [feat], 24, 24)[0, 0] == got
             raw = 0.0
             for x1, y1, x2, y2, w in feat.sub_rects():
                 for yy in range(7 + y1, 7 + y2):
@@ -107,14 +179,6 @@ class TestEvalFeature:
             std = math.sqrt(max((window ** 2).mean() - window.mean() ** 2,
                                 0.0))
             assert got == pytest.approx(raw / max(std, 1.0), rel=1e-12)
-
-    def test_out_of_bounds(self):
-        ii = integral_image(gray(np.zeros((30, 30))))
-        feat = HaarFeature("2H", Rect(0, 0, 24, 24))
-        with pytest.raises(OutOfBounds):
-            eval_feature(ii, feat, (10, 0), 1.0, 24, 24)
-        with pytest.raises(OutOfBounds):
-            eval_feature(ii, feat, (0, 0), 2.0, 24, 24)
 
 
 def oracle_best_stump(values, labels, weights):
@@ -370,10 +434,12 @@ class TestClassifyWindow:
         stump = WeakClassifier(HaarFeature("2H", Rect(0, 0, 12, 12)),
                                -math.inf, 1)
         cascade = Cascade(24, 24, (Stage(((stump, 1.0),), 0.5),))
-        ii = integral_image(gray(rng.integers(0, 256, size=(24, 24))))
-        assert classify_window(ii, cascade, (0, 0), 1.0) is True
+        img = gray(rng.integers(0, 256, size=(24, 24)))
+        assert detect(img, cascade, ScanConfig(min_neighbors=1)) == [
+            detector.FaceBox(Rect(0, 0, 24, 24), 1)]
+        assert classify_window(integral_image(img), cascade, (0, 0), 1.0)
 
-    def test_short_circuit_counts_stages(self, rng):
+    def test_short_circuit_counts_stages(self, rng, monkeypatch):
         always = WeakClassifier(HaarFeature("2H", Rect(0, 0, 12, 12)),
                                 -math.inf, 1)
         never = WeakClassifier(HaarFeature("2H", Rect(0, 0, 12, 12)),
@@ -383,10 +449,16 @@ class TestClassifyWindow:
             Stage(((always, 1.0),), 0.5),
             Stage(((always, 1.0),), 0.5),
         ))
-        ii = integral_image(gray(rng.integers(0, 256, size=(24, 24))))
-        stats = EvalStats()
-        assert classify_window(ii, reject_first, (0, 0), 1.0, stats) is False
-        assert stats.stages_evaluated == 1
+        calls = []
+
+        def counted(stage, values):
+            calls.append(len(values))
+            return stage_scores(stage, values)
+
+        monkeypatch.setattr(detector, "stage_scores", counted)
+        img = gray(rng.integers(0, 256, size=(24, 24)))
+        assert detect(img, reject_first, ScanConfig(min_neighbors=1)) == []
+        assert calls == [1]
 
     def test_adding_stage_only_shrinks_acceptance(self, face_cascade, rng):
         prefix = Cascade(face_cascade.base_w, face_cascade.base_h,
@@ -401,17 +473,18 @@ class TestClassifyWindow:
                     continue
                 ox = int(rng.integers(0, 160 - win + 1))
                 oy = int(rng.integers(0, 160 - win + 1))
-                full = classify_window(ii, face_cascade, (ox, oy), scale)
+                full = passes(ii, face_cascade, (ox, oy), scale)
+                assert full == classify_window(ii, face_cascade, (ox, oy),
+                                               scale)
                 if full:
-                    assert classify_window(ii, prefix, (ox, oy), scale)
+                    assert passes(ii, prefix, (ox, oy), scale)
 
     def test_trained_cascade_accepts_known_positive(self, face_cascade):
         rec = generate(SyntheticSpec(n_frames=1, fraction_fatigued=0.0,
                                      seed=123))[0]
         ii = integral_image(rec.image)
         scale = rec.box.w / face_cascade.base_w
-        assert classify_window(ii, face_cascade,
-                               (rec.box.x, rec.box.y), scale) is True
+        assert passes(ii, face_cascade, (rec.box.x, rec.box.y), scale)
 
 
 class TestDetect:
@@ -463,7 +536,7 @@ class TestDetect:
 
     def test_matches_sequential_classify_window_scan(self, face_cascade,
                                                      rng):
-        # the vectorized scan must agree with per-window evaluation
+        # the vectorized scan must agree with the scalar reference
         canvas = np.full((100, 100), BACKGROUND)
         draw_face(canvas, Rect(18, 8, 60, 60), False)
         img = Image.from_float(canvas + rng.normal(0, 8.0, canvas.shape))
@@ -532,3 +605,16 @@ class TestCascadeCodec:
     def test_garbage_header(self):
         with pytest.raises(ParseError):
             load_cascade("not a cascade\n")
+
+    @pytest.mark.parametrize("rect", [
+        "-4 -2 30 10", "-2 0 12 12", "0 -1 12 12", "14 0 12 12",
+        "0 13 12 12"])
+    def test_rect_outside_base_window(self, rect):
+        text = ("CASCADE1 24 24 1\n"
+                "STAGE 1 0.5\n"
+                f"WEAK 2H {rect} 0.25 1 1.0\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_cascade(text)
+        inside = load_cascade(text.replace(rect, "12 12 12 12"))
+        assert inside.stages[0].weak[0][0].feature.rect == \
+            Rect(12, 12, 12, 12)

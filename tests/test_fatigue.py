@@ -203,6 +203,19 @@ class TestSimulate:
     def test_trace_length_matches_input(self):
         assert len(simulate([1, -1, 1], CFG).ticks) == 3
 
+    def test_empty_input_gives_empty_trace(self):
+        trace = simulate([], CFG)
+        assert (trace.ticks, trace.events, trace.labels) == ([], [], [])
+        assert trace.render() == simulate([1], CFG).render().splitlines(
+            keepends=True)[0]
+
+    def test_none_tick_advances_time_only(self):
+        # a generator, as infer_stream passes; a None tick keeps r
+        trace = simulate((s for s in [1, None, 1, None, -1]), CFG)
+        assert [(t.t, t.r) for t in trace.ticks] == [
+            (1.0, 1), (2.0, 1), (3.0, 2), (4.0, 2), (5.0, 1)]
+        assert trace.labels == [1, None, 1, None, -1]
+
     def test_escalation_timing(self):
         # constant fatigue: alarm at t=5, reduce at t=15, stop at t=20
         trace = simulate([1] * 25, CFG)

@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fatiguedet.detector import ScanConfig
+from fatiguedet import fatigue
+from fatiguedet.detector import (
+    Cascade,
+    HaarFeature,
+    ScanConfig,
+    Stage,
+    WeakClassifier,
+)
 from fatiguedet.errors import (
     BadLabel,
     ConfigError,
@@ -139,6 +148,17 @@ def model(dataset):
     return fit_pipeline(dataset, CFG)
 
 
+def blind_model(model):
+    """model with a cascade that rejects every window, so that every frame
+    is skipped."""
+    never = WeakClassifier(HaarFeature("2H", Rect(0, 0, 12, 12)), math.inf,
+                           1)
+    reject_all = Cascade(24, 24, (Stage(((never, 1.0),), 0.5),))
+    return PipelineModel(geometry=model.geometry, preprocess=model.preprocess,
+                         pca=model.pca, svm=model.svm, cascade=reject_all,
+                         scan=model.scan)
+
+
 class TestIngest:
     def test_two_records(self, tmp_path):
         spec = SyntheticSpec(n_frames=2, seed=1)
@@ -227,7 +247,10 @@ class TestConfig:
     @pytest.mark.parametrize("line", [
         "low_light = bogus", "t_low = 20", "eye_window = 0 0 200 10",
         "scale_factor = 0.5", "sample_period = 0", "svm_kernel = cubic",
-        "svm_c = -1", "svm_c =", "t_low ="])
+        "svm_c = -1", "svm_c =", "t_low =", "scale_factor = nan",
+        "scale_factor = inf", "sample_period = nan", "alarm_duration = nan",
+        "high_persist = nan", "high_persist = inf", "pca_variance = nan",
+        "pca_variance = 0", "pca_variance = 1.5"])
     def test_bad_value_is_config_error(self, line):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
@@ -297,17 +320,7 @@ class TestInferStream:
         assert stream.trace.ticks == [] and stream.labels == []
 
     def test_skip_policy_keeps_r_unchanged(self, dataset, model):
-        # a cascade that rejects everything marks every frame "skip"
-        from fatiguedet.detector import Cascade, HaarFeature, Stage, \
-            WeakClassifier
-        import math
-        never = WeakClassifier(HaarFeature("2H", Rect(0, 0, 12, 12)),
-                               math.inf, 1)
-        reject_all = Cascade(24, 24, (Stage(((never, 1.0),), 0.5),))
-        blind = PipelineModel(geometry=model.geometry,
-                              preprocess=model.preprocess, pca=model.pca,
-                              svm=model.svm, cascade=reject_all,
-                              scan=model.scan)
+        blind = blind_model(model)
         frames = [r.load_image() for r in dataset[:5]]
         stream = infer_stream(blind, frames)
         assert stream.skipped == 5
@@ -322,6 +335,60 @@ class TestInferStream:
         frames = [dataset[0].load_image()]
         text = infer_stream(model, frames).render()
         assert "LABEL 1 " in text
+
+    def test_render_golden(self, dataset, model):
+        # skipped frames under both policies; the fatigued run's ticks
+        # carry events, pinning the TICK, LABEL, EVENT line order
+        blind = blind_model(model)
+        frames = [r.load_image() for r in dataset[:4]]
+        skip = infer_stream(blind, frames[:2]).render()
+        assert skip == (
+            "# t_low=5 t_high=15 alarm_duration=10 high_persist=5 "
+            "water_spray=0 sample_period=1\n"
+            "TICK 1 0 None Idle\n"
+            "LABEL 1 skip\n"
+            "TICK 2 0 None Idle\n"
+            "LABEL 2 skip\n")
+        cfg = AlertConfig(t_low=2, t_high=3, alarm_duration=2.0,
+                          high_persist=1.0, water_spray_enabled=True,
+                          sample_period=0.5)
+        fatigued = infer_stream(blind, frames, cfg,
+                                no_face_policy="fatigued").render()
+        assert fatigued == (
+            "# t_low=2 t_high=3 alarm_duration=2 high_persist=1 "
+            "water_spray=1 sample_period=0.5\n"
+            "TICK 0.5 1 None Idle\n"
+            "LABEL 0.5 +1\n"
+            "TICK 1 2 Low LowAlarm(2)\n"
+            "LABEL 1 +1\n"
+            "EVENT 1 AlarmOn\n"
+            "TICK 1.5 3 High HighAlert(0,0)\n"
+            "LABEL 1.5 +1\n"
+            "EVENT 1.5 ReduceSpeed\n"
+            "EVENT 1.5 WaterSpray\n"
+            "TICK 2 4 High HighAlert(0.5,0)\n"
+            "LABEL 2 +1\n")
+
+    def test_alert_unit_runs_per_frame(self, dataset, model, monkeypatch):
+        # the alert step for frame i returns before frame i + 1 is pulled
+        log = []
+        real_step = fatigue.alert_step
+
+        def logged_step(*args, **kwargs):
+            out = real_step(*args, **kwargs)
+            log.append("alert_step")
+            return out
+
+        def feed():
+            for rec in dataset[:4]:
+                log.append("pull")
+                yield rec.load_image()
+
+        monkeypatch.setattr(fatigue, "alert_step", logged_step)
+        stream = infer_stream(model, feed(),
+                              boxes=[r.box for r in dataset[:4]])
+        assert len(stream.trace.ticks) == 4
+        assert log == ["pull", "alert_step"] * 4
 
 
 class TestEvaluate:
