@@ -1,28 +1,21 @@
 """Soft-margin SVM trained by sequential minimal optimization, with kernel
 evaluation, prediction, and stratified k-fold cross-validation.
 
-Labels are +1 (fatigued) and -1 (alert). A decision value of exactly zero
-classifies as fatigued: in a safety system a false alarm beats a missed
-detection.
+Labels are +1 (fatigued) and -1 (alert). A decision value of exactly zero,
+or one that is not finite, classifies as fatigued: in a safety system a
+false alarm beats a missed detection.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonFinite,
-    ParseError,
-    SingleClass,
-    TooFewSamples,
-    VersionMismatch,
-)
+from .errors import DimensionMismatch, NonFinite, SingleClass, TooFewSamples
+from .textmodel import ModelText, count, finite, format_floats, render
 
 logger = logging.getLogger(__name__)
 
@@ -258,9 +251,16 @@ def svm_decision_many(model: SvmModel, x: np.ndarray) -> np.ndarray:
     return k @ model.dual_coef + model.bias
 
 
+def decision_labels(dec) -> np.ndarray:
+    """FATIGUED where a decision value is >= 0 or not finite, else ALERT:
+    a tie and a broken value both fail safe, as a false alarm."""
+    dec = np.asarray(dec)
+    return np.where((dec < 0) & np.isfinite(dec), ALERT, FATIGUED)
+
+
 def svm_predict(model: SvmModel, x: np.ndarray) -> int:
-    """+1 when the decision value is >= 0, else -1."""
-    return FATIGUED if svm_decision(model, x) >= 0 else ALERT
+    """The decision_labels label of one vector."""
+    return int(decision_labels(svm_decision(model, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +314,7 @@ def run_folds(x: np.ndarray, y: np.ndarray, fold_indices: list[list[int]],
         mask[test] = False
         model = svm_train(x[mask], y[mask], C=C, kernel=kernel, tol=tol,
                           max_passes=max_passes)
-        dec = svm_decision_many(model, x[test])
-        pred = np.where(dec >= 0, 1, -1)
+        pred = decision_labels(svm_decision_many(model, x[test]))
         truth = y[test]
         accs.append(float(np.mean(pred == truth)))
         tp += int(np.sum((pred == 1) & (truth == 1)))
@@ -356,65 +355,24 @@ def cross_validate(x: np.ndarray, y: Sequence[int], folds: int,
 
 def save_svm(model: SvmModel) -> str:
     head = f"SVM1 {model.n_features} {len(model.dual_coef)} " \
-           f"{model.C!r} {model.kernel.kind}"
+           f"{format_floats(model.C)} {model.kernel.kind}"
     if model.kernel.kind == "rbf":
-        head += f" {model.kernel.gamma!r}"
-    lines = [head, repr(float(model.bias))]
+        head += f" {format_floats(model.kernel.gamma)}"
+    lines = [head, format_floats(model.bias)]
     for coef, sv in zip(model.dual_coef, model.support_vectors):
-        lines.append(" ".join([repr(float(coef))]
-                              + [repr(float(v)) for v in sv]))
-    return "\n".join(lines) + "\n"
+        lines.append(format_floats(coef, *sv))
+    return render(lines)
 
 
 def load_svm(text: str) -> SvmModel:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("line 1: empty SVM file")
-    head = lines[0].split()
-    if not head or head[0] != "SVM1":
-        if head and head[0].startswith("SVM"):
-            raise VersionMismatch(f"unsupported version {head[0]!r}")
-        raise ParseError("line 1: expected SVM1 header")
-    try:
-        k, m, c = int(head[1]), int(head[2]), float(head[3])
-        kind = head[4]
-    except (IndexError, ValueError):
-        raise ParseError("line 1: malformed SVM1 header") from None
-    if kind == "linear":
-        kernel = KernelSpec("linear")
-    elif kind == "rbf":
-        try:
-            kernel = KernelSpec("rbf", float(head[5]))
-        except (IndexError, ValueError):
-            raise ParseError("line 1: rbf kernel needs a gamma") from None
-    else:
-        raise ParseError(f"line 1: unknown kernel token {kind!r}")
-    if not math.isfinite(c) or not math.isfinite(kernel.gamma or 0.0):
-        raise ParseError("line 1: non-finite C or gamma")
-    if len(lines) < 2 + m:
-        raise ParseError(f"line {len(lines)}: expected {2 + m} lines")
-    try:
-        bias = float(lines[1])
-    except ValueError:
-        raise ParseError("line 2: bad bias") from None
-    if not math.isfinite(bias):
-        raise ParseError("line 2: non-finite bias")
-    coef = np.empty(m)
-    sv = np.empty((m, k))
-    for i in range(m):
-        try:
-            row = [float(v) for v in lines[2 + i].split()]
-        except ValueError:
-            raise ParseError(f"line {3 + i}: bad support vector row") from None
-        if len(row) != k + 1:
-            raise ParseError(f"line {3 + i}: expected {k + 1} values, "
-                             f"got {len(row)}")
-        if not all(math.isfinite(v) for v in row):
-            raise ParseError(f"line {3 + i}: non-finite value")
-        coef[i] = row[0]
-        sv[i] = row[1:]
-    try:
-        return SvmModel(support_vectors=sv, dual_coef=coef, bias=bias,
-                        kernel=kernel, C=c)
-    except ValueError as exc:
-        raise ParseError(f"invalid SVM model: {exc}") from None
+    src = ModelText(text, "SVM1")
+    rbf = "".join(src.lines[:1]).split()[4:5] == ["rbf"]  # gamma follows
+    k, m, c, kind, *gamma = src.header(count, count, finite, str,
+                                       *((finite,) if rbf else ()))
+    bias = float(src.rows(1, 1)[0, 0])
+    rows = src.rows(m, k + 1)
+    src.end()
+    with src.checked():
+        return SvmModel(support_vectors=rows[:, 1:].copy(),
+                        dual_coef=rows[:, 0].copy(), bias=bias,
+                        kernel=KernelSpec(kind, *gamma), C=c)

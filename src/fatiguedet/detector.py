@@ -19,14 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    ImageTooSmall,
-    NoFeatures,
-    ParseError,
-    VersionMismatch,
-)
+from .errors import EmptyInput, ImageTooSmall, NoFeatures
 from .imaging import Image, IntegralImage, Rect, integral_image, iround
+from .textmodel import ModelText, count, finite, finite_or_inf, \
+    format_floats, render
 
 KINDS = ("2H", "2V", "3H", "3V", "4")
 
@@ -594,66 +590,38 @@ def save_cascade(cascade: Cascade) -> str:
     lines = [f"CASCADE1 {cascade.base_w} {cascade.base_h} "
              f"{len(cascade.stages)}"]
     for stage in cascade.stages:
-        lines.append(f"STAGE {len(stage.weak)} {float(stage.threshold)!r}")
+        lines.append(f"STAGE {len(stage.weak)} "
+                     + format_floats(stage.threshold))
         for weak, alpha in stage.weak:
             r = weak.feature.rect
             lines.append(
                 f"WEAK {weak.feature.kind} {r.x} {r.y} {r.w} {r.h} "
-                f"{float(weak.threshold)!r} {weak.polarity} {float(alpha)!r}")
-    return "\n".join(lines) + "\n"
+                f"{format_floats(weak.threshold)} {weak.polarity} "
+                f"{format_floats(alpha)}")
+    return render(lines)
 
 
 def load_cascade(text: str) -> Cascade:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("line 1: empty cascade file")
-    head = lines[0].split()
-    if not head or head[0] != "CASCADE1":
-        if head and head[0].startswith("CASCADE"):
-            raise VersionMismatch(f"unsupported version {head[0]!r}")
-        raise ParseError("line 1: expected CASCADE1 header")
-    try:
-        base_w, base_h, n_stages = (int(v) for v in head[1:4])
-    except (IndexError, ValueError):
-        raise ParseError("line 1: malformed CASCADE1 header") from None
-    pos = 1
+    src = ModelText(text, "CASCADE1")
+    base_w, base_h, n_stages = src.header(int, int, count)
     stages: list[Stage] = []
     for _ in range(n_stages):
-        if pos >= len(lines):
-            raise ParseError(f"line {len(lines) + 1}: missing STAGE block")
-        parts = lines[pos].split()
-        if len(parts) != 3 or parts[0] != "STAGE":
-            raise ParseError(f"line {pos + 1}: expected STAGE line")
-        try:
-            n_weak = int(parts[1])
-            threshold = float(parts[2])
-        except ValueError:
-            raise ParseError(f"line {pos + 1}: malformed STAGE line") from None
-        pos += 1
+        n_weak, threshold = src.record("STAGE", count, finite)
         weak: list[tuple[WeakClassifier, float]] = []
         for _ in range(n_weak):
-            if pos >= len(lines):
-                raise ParseError(f"line {len(lines) + 1}: missing WEAK line")
-            w = lines[pos].split()
-            if len(w) != 9 or w[0] != "WEAK" or w[1] not in KINDS:
-                raise ParseError(f"line {pos + 1}: expected WEAK line")
-            try:
-                rect = Rect(int(w[2]), int(w[3]), int(w[4]), int(w[5]))
+            kind, x, y, w, h, weak_threshold, polarity, alpha = src.record(
+                "WEAK", str, int, int, int, int, finite_or_inf, int, finite)
+            with src.checked(src.pos):
+                rect = Rect(x, y, w, h)
                 if (rect.x < 0 or rect.y < 0 or rect.x2 > base_w
                         or rect.y2 > base_h):
                     raise ValueError(f"{rect} outside the {base_w}x{base_h} "
                                      f"base window")
-                weak.append((WeakClassifier(HaarFeature(w[1], rect),
-                                            float(w[6]), int(w[7])),
-                             float(w[8])))
-            except ValueError as exc:
-                raise ParseError(f"line {pos + 1}: {exc}") from None
-            pos += 1
-        try:
+                weak.append((WeakClassifier(HaarFeature(kind, rect),
+                                            weak_threshold, polarity),
+                             alpha))
+        with src.checked(src.pos):
             stages.append(Stage(tuple(weak), threshold))
-        except ValueError as exc:
-            raise ParseError(f"line {pos}: {exc}") from None
-    try:
+    src.end()
+    with src.checked(1):
         return Cascade(base_w, base_h, tuple(stages))
-    except ValueError as exc:
-        raise ParseError(f"line 1: {exc}") from None

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadK, DegenerateData, DimensionMismatch, ParseError, \
-    VersionMismatch, WrongDimensions
+from .errors import BadK, DegenerateData, DimensionMismatch, WrongDimensions
 from .imaging import Image, Rect, crop, resize_bilinear
+from .textmodel import ModelText, count, format_floats, render
 
 
 @dataclass(frozen=True)
@@ -222,53 +222,18 @@ def pca_reconstruct(model: PcaModel, z: np.ndarray) -> np.ndarray:
 # PCA1 text format
 
 def save_pca(model: PcaModel) -> str:
-    lines = [f"PCA1 {model.d} {model.k}",
-             " ".join(repr(float(v)) for v in model.mean)]
+    lines = [f"PCA1 {model.d} {model.k}", format_floats(*model.mean)]
     for lam, comp in zip(model.eigenvalues, model.components):
-        lines.append(" ".join([repr(float(lam))]
-                              + [repr(float(v)) for v in comp]))
-    return "\n".join(lines) + "\n"
+        lines.append(format_floats(lam, *comp))
+    return render(lines)
 
 
 def load_pca(text: str) -> PcaModel:
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("line 1: empty PCA file")
-    head = lines[0].split()
-    if not head or head[0] != "PCA1":
-        if head and head[0].startswith("PCA"):
-            raise VersionMismatch(f"unsupported version {head[0]!r}")
-        raise ParseError("line 1: expected PCA1 header")
-    try:
-        d, k = int(head[1]), int(head[2])
-    except (IndexError, ValueError):
-        raise ParseError("line 1: malformed PCA1 header") from None
-    if len(lines) < 2 + k:
-        raise ParseError(f"line {len(lines)}: expected {2 + k} lines")
-    try:
-        mean = np.array([float(v) for v in lines[1].split()])
-    except ValueError:
-        raise ParseError("line 2: bad mean vector") from None
-    if mean.shape != (d,):
-        raise ParseError(f"line 2: mean has {mean.size} entries, expected {d}")
-    if not np.all(np.isfinite(mean)):
-        raise ParseError("line 2: non-finite mean entry")
-    eigenvalues = np.empty(k)
-    components = np.empty((k, d))
-    for i in range(k):
-        try:
-            row = [float(v) for v in lines[2 + i].split()]
-        except ValueError:
-            raise ParseError(f"line {3 + i}: bad component row") from None
-        if len(row) != d + 1:
-            raise ParseError(f"line {3 + i}: expected {d + 1} values, "
-                             f"got {len(row)}")
-        if not np.all(np.isfinite(row)):
-            raise ParseError(f"line {3 + i}: non-finite value")
-        eigenvalues[i] = row[0]
-        components[i] = row[1:]
-    try:
-        return PcaModel(mean=mean, components=components,
-                        eigenvalues=eigenvalues)
-    except ValueError as exc:
-        raise ParseError(f"invalid PCA model: {exc}") from None
+    src = ModelText(text, "PCA1")
+    d, k = src.header(count, count)
+    mean = src.rows(1, d)[0]
+    rows = src.rows(k, d + 1)
+    src.end()
+    with src.checked():
+        return PcaModel(mean=mean, components=rows[:, 1:].copy(),
+                        eigenvalues=rows[:, 0].copy())

@@ -401,6 +401,15 @@ class PreprocessConfig:
     def __post_init__(self):
         if self.low_light not in ("auto", "on", "off"):
             raise ValueError(f"bad low_light mode {self.low_light!r}")
+        if math.isnan(self.low_light_threshold):
+            raise ValueError("low_light_threshold must be a number")
+        if not (0 < self.denoise_spatial_sigma < math.inf
+                and 0 < self.denoise_range_sigma < math.inf):
+            raise ValueError("denoise sigmas must be positive and finite")
+        if self.clahe_tiles < 1:
+            raise ValueError("clahe_tiles must be >= 1")
+        if not self.clahe_clip_limit >= 1.0:  # inf: no clipping
+            raise ValueError("clahe_clip_limit must be >= 1")
 
 
 DEFAULT_PREPROCESS = PreprocessConfig()

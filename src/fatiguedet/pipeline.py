@@ -30,13 +30,12 @@ from .errors import (
     MissingFile,
     ModelMismatch,
     NoFacesFound,
-    ParseError,
     SingleClass,
     TooFewSamples,
-    VersionMismatch,
 )
 from .features import PcaModel, RoiGeometry, load_pca, save_pca
 from .imaging import Image, PreprocessConfig, Rect, load_pnm, preprocess
+from .textmodel import ModelText, format_floats, render
 
 logger = logging.getLogger(__name__)
 
@@ -191,7 +190,7 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "on" if value else "off"
     if isinstance(value, float):
-        return repr(value)
+        return format_floats(value)
     if isinstance(value, Rect):
         return f"{value.x} {value.y} {value.w} {value.h}"
     return str(value)
@@ -383,7 +382,7 @@ def fit_and_score(records: Sequence[ManifestRecord],
     model = PipelineModel(geometry=config.geometry,
                           preprocess=config.preprocess, pca=pca, svm=svm,
                           cascade=cascade, scan=config.scan)
-    preds = np.where(classifier.svm_decision_many(svm, z) >= 0, 1, -1)
+    preds = classifier.decision_labels(classifier.svm_decision_many(svm, z))
     return model, float(np.mean(preds == y)), len(y)
 
 
@@ -394,8 +393,8 @@ def pipeline_predict(model: PipelineModel,
     x, _, _, _ = extract_features(records, model.geometry, model.preprocess,
                                   model.cascade, model.scan)
     z = features.pca_project_many(model.pca, x)
-    dec = classifier.svm_decision_many(model.svm, z)
-    return np.where(dec >= 0, 1, -1)
+    return classifier.decision_labels(
+        classifier.svm_decision_many(model.svm, z))
 
 
 # ---------------------------------------------------------------------------
@@ -572,83 +571,68 @@ def onset_latency(trace: StreamTrace, onset_tick: int) -> float | None:
 # ---------------------------------------------------------------------------
 # PIPE1 composite format
 
-def _render_section(name: str, body: str) -> str:
-    return f"SECTION {name}\n{body}END\n"
-
-
-def _settings_section(model: PipelineModel, name: str) -> str:
-    lines = _key_lines(getattr(model, name), _KEYS_OF[name])
-    return _render_section(name, "".join(line + "\n" for line in lines))
+# Sections in file order, each named after its PipelineModel field: a
+# settings section holds that object's config keys, the others embed its
+# model file. A pipeline without a detector has no scan or cascade section.
+_SECTIONS = ("geometry", "preprocess", "scan", "cascade", "pca", "svm")
+_MODEL_CODECS = {"cascade": (save_cascade, load_cascade),
+                 "pca": (save_pca, load_pca),
+                 "svm": (classifier.save_svm, classifier.load_svm)}
 
 
 def save_pipeline(model: PipelineModel) -> str:
-    out = ["PIPE1\n", _settings_section(model, "geometry"),
-           _settings_section(model, "preprocess")]
-    if model.cascade is not None:
-        out.append(_settings_section(model, "scan"))
-        out.append(_render_section("cascade", save_cascade(model.cascade)))
-    out.append(_render_section("pca", save_pca(model.pca)))
-    out.append(_render_section("svm", classifier.save_svm(model.svm)))
+    out = ["PIPE1\n"]
+    for name in _SECTIONS:
+        if name in ("scan", "cascade") and model.cascade is None:
+            continue
+        value = getattr(model, name)
+        body = (_MODEL_CODECS[name][0](value) if name in _MODEL_CODECS
+                else render(_key_lines(value, _KEYS_OF[name])))
+        out.append(f"SECTION {name}\n{body}END\n")
     return "".join(out)
 
 
-def _split_sections(lines: list[str]) -> dict[str, list[str]]:
+def _split_sections(src: ModelText) -> dict[str, list[str]]:
+    """The body lines of each `SECTION <name>` ... `END` block."""
     sections: dict[str, list[str]] = {}
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        if not line:
-            i += 1
-            continue
-        parts = line.split()
-        if parts[0] != "SECTION" or len(parts) != 2:
-            raise ParseError(f"line {i + 2}: expected SECTION header")
-        name = parts[1]
-        body: list[str] = []
-        i += 1
-        while i < len(lines) and lines[i].strip() != "END":
-            body.append(lines[i])
-            i += 1
-        if i >= len(lines):
-            raise ParseError(f"section {name!r} is not terminated")
-        sections[name] = body
-        i += 1
+    while src.pos < len(src.lines):
+        if src.lines[src.pos].strip():
+            (name,) = src.record("SECTION", str)
+            if name not in _SECTIONS or name in sections:
+                raise src.error(src.pos, f"unexpected section {name!r}")
+            end = next((i for i in range(src.pos, len(src.lines))
+                        if src.lines[i].strip() == "END"), None)
+            if end is None:
+                raise src.error(None, f"section {name!r} is not terminated")
+            sections[name], src.pos = src.lines[src.pos:end], end
+        src.pos += 1
     return sections
 
 
-def _load_settings(sections: dict[str, list[str]], name: str):
-    """The settings object of a PIPE1 section holding exactly its keys."""
+def _load_section(src: ModelText, name: str, lines: list[str]):
+    """The model or settings object of a PIPE1 section; a settings section
+    must hold exactly its keys."""
+    if name in _MODEL_CODECS:
+        return _MODEL_CODECS[name][1](render(lines))
     keys = _KEYS_OF[name]
     try:
-        values = _key_values(sections[name])
+        values = _key_values(lines)
         if values.keys() != set(keys):
             raise ConfigError(f"expected keys {list(keys)}, "
                               f"got {list(values)}")
         return _update(getattr(PipelineConfig(), name), keys, values)
     except ConfigError as exc:
-        raise ParseError(f"section {name!r}: {exc}") from None
+        raise src.error(None, f"section {name!r}: {exc}") from None
 
 
 def load_pipeline(text: str) -> PipelineModel:
-    lines = text.splitlines()
-    if not lines or lines[0].split() != ["PIPE1"]:
-        head = lines[0].split() if lines else []
-        if head and head[0].startswith("PIPE"):
-            raise VersionMismatch(f"unsupported version {head[0]!r}")
-        raise ParseError("line 1: expected PIPE1 header")
-    sections = _split_sections(lines[1:])
+    src = ModelText(text, "PIPE1")
+    src.header()
+    sections = _split_sections(src)
     for required in ("geometry", "preprocess", "pca", "svm"):
         if required not in sections:
-            raise ParseError(f"missing section {required!r}")
-    geometry = _load_settings(sections, "geometry")
-    prep = _load_settings(sections, "preprocess")
-    cascade = None
-    scan = ScanConfig()
-    if "cascade" in sections:
-        cascade = load_cascade("\n".join(sections["cascade"]) + "\n")
-        if "scan" in sections:
-            scan = _load_settings(sections, "scan")
-    pca = load_pca("\n".join(sections["pca"]) + "\n")
-    svm = classifier.load_svm("\n".join(sections["svm"]) + "\n")
-    return PipelineModel(geometry=geometry, preprocess=prep, pca=pca,
-                         svm=svm, cascade=cascade, scan=scan)
+            raise src.error(None, f"missing section {required!r}")
+    if "scan" in sections and "cascade" not in sections:
+        raise src.error(None, "scan section without a cascade section")
+    return PipelineModel(**{name: _load_section(src, name, lines)
+                            for name, lines in sections.items()})

@@ -8,6 +8,7 @@ from fatiguedet.classifier import (
     KernelSpec,
     SvmModel,
     cross_validate,
+    decision_labels,
     dual_objective,
     kernel_matrix,
     load_svm,
@@ -206,6 +207,18 @@ class TestPredict:
                          kernel=LINEAR, C=1.0)
         assert svm_decision(model, np.array([0.0])) == 0.0
         assert svm_predict(model, np.array([0.0])) == 1
+
+    def test_non_finite_decision_is_fatigued(self):
+        model = load_svm("SVM1 2 2 1.0 linear\n0.0\n0.5 1e308 1e308\n"
+                         "-0.5 1e308 1e308\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(svm_decision(model, np.array([1.0, 1.0])))
+            assert svm_predict(model, np.array([1.0, 1.0])) == 1
+
+    def test_decision_labels(self):
+        dec = np.array([-2.0, -5e-324, 0.0, -0.0, 3.0, np.nan, np.inf,
+                        -np.inf])
+        assert decision_labels(dec).tolist() == [-1, -1, 1, 1, 1, 1, 1, 1]
 
     @given(st.floats(0.1, 50.0))
     def test_positive_rescaling_preserves_predictions(self, c):

@@ -168,6 +168,29 @@ class TestExitCodes:
                      str(cascade)]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_negative_pca_count_is_model_error(self, workdir, tmp_path,
+                                               capsys):
+        text = (workdir / "models" / "model.pipe1").read_text()
+        head = next(line for line in text.splitlines()
+                    if line.startswith("PCA1 "))
+        model = tmp_path / "model.pipe1"
+        model.write_text(text.replace(head, head.split()[0] + " 4000 -1"))
+        assert main(["eval", "--manifest",
+                     str(workdir / "data" / "manifest.csv"), "--model",
+                     str(model)]) == 3
+        assert "negative count" in capsys.readouterr().err
+
+    def test_nan_cascade_alpha_is_model_error(self, workdir, tmp_path,
+                                              capsys):
+        cascade = tmp_path / "cascade.txt"
+        cascade.write_text("CASCADE1 24 24 1\nSTAGE 1 0.5\n"
+                           "WEAK 2H 0 0 12 12 0.25 1 nan\n")
+        assert main(["train", "--manifest",
+                     str(workdir / "data" / "manifest.csv"), "--out-dir",
+                     str(tmp_path / "never"), "--detector",
+                     str(cascade)]) == 3
+        assert "line 3" in capsys.readouterr().err
+
     def test_model_error(self, workdir):
         bad_model = workdir / "data" / "manifest.csv"  # not a PIPE1 file
         assert main(["eval", "--manifest",

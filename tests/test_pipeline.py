@@ -117,7 +117,7 @@ def configs(draw):
             draw(st.sampled_from(["auto", "on", "off"])),
             draw(_floats(0, 255)), draw(_floats(0.1, 10)),
             draw(_floats(0.1, 100)), draw(st.integers(1, 16)),
-            draw(_floats(0.1, 10))),
+            draw(_floats(1, 10))),
         geometry=RoiGeometry(side, draw(_rects(side)), draw(_rects(side))),
         pca_k=draw(st.none() | st.integers(1, 500)),
         pca_variance=draw(st.none() | _floats(0, 1, exclude_min=True)),
@@ -250,7 +250,11 @@ class TestConfig:
         "svm_c = -1", "svm_c =", "t_low =", "scale_factor = nan",
         "scale_factor = inf", "sample_period = nan", "alarm_duration = nan",
         "high_persist = nan", "high_persist = inf", "pca_variance = nan",
-        "pca_variance = 0", "pca_variance = 1.5"])
+        "pca_variance = 0", "pca_variance = 1.5",
+        "low_light_threshold = nan", "denoise_spatial_sigma = 0",
+        "denoise_range_sigma = nan", "denoise_range_sigma = inf",
+        "clahe_tiles = 0", "clahe_clip_limit = 0.5",
+        "clahe_clip_limit = nan"])
     def test_bad_value_is_config_error(self, line):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
