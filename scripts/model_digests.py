@@ -3,9 +3,12 @@
 
 Makes the C09 desk set (400 frames, seed 100) in a temporary directory,
 then runs `train --seed 7`, `simulate` and `simulate --t-low 3
---water-spray` through `cli.main`. Two commits whose printed digests agree
-write byte-identical model and trace files, which is how a refactor shows
-that it changed no output.
+--water-spray` through `cli.main`. It then runs the detector end to end:
+`detect-train --n-frames 60 --stage-rounds 3,8 --feature-step 3 --seed 7`,
+`train --seed 7 --detector` with that cascade on the same set, and
+`simulate` with the resulting PIPE1. Two commits whose printed digests
+agree write byte-identical model, cascade and trace files, which is how a
+refactor or a scan change shows that it changed no output.
 
     PYTHONPATH=src python3 scripts/model_digests.py
 """
@@ -20,7 +23,8 @@ from fatiguedet.cli import main as cli_main
 from fatiguedet.synth import SyntheticSpec, write_dataset
 
 FILES = ("model.pca1", "model.svm1", "model.pipe1", "trace.txt",
-         "trace_spray.txt")
+         "trace_spray.txt", "cascade.txt", "detector/model.pipe1",
+         "detector/trace.txt")
 
 
 def _run(argv: list[str]) -> None:
@@ -45,6 +49,14 @@ def main() -> int:
         _run(["simulate", "--manifest", str(manifest), "--model", model,
               "--t-low", "3", "--water-spray",
               "--out", str(out / "trace_spray.txt")])
+        cascade = str(out / "cascade.txt")
+        _run(["detect-train", "--out", cascade, "--n-frames", "60",
+              "--stage-rounds", "3,8", "--feature-step", "3", "--seed", "7"])
+        det = out / "detector"
+        _run(["train", "--manifest", str(manifest), "--out-dir", str(det),
+              "--seed", "7", "--detector", cascade])
+        _run(["simulate", "--manifest", str(manifest), "--model",
+              str(det / "model.pipe1"), "--out", str(det / "trace.txt")])
         for name in FILES:
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             print(f"{digest}  {name}")

@@ -373,6 +373,16 @@ def load_svm(text: str) -> SvmModel:
     rows = src.rows(m, k + 1)
     src.end()
     with src.checked():
-        return SvmModel(support_vectors=rows[:, 1:].copy(),
-                        dual_coef=rows[:, 0].copy(), bias=bias,
-                        kernel=KernelSpec(kind, *gamma), C=c)
+        model = SvmModel(support_vectors=rows[:, 1:].copy(),
+                         dual_coef=rows[:, 0].copy(), bias=bias,
+                         kernel=KernelSpec(kind, *gamma), C=c)
+        # finite entries can still overflow the kernel or the decision
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                dec = svm_decision_many(model, model.support_vectors)
+        except FloatingPointError:
+            dec = np.array([np.nan])
+        if not np.isfinite(dec).all():
+            raise ValueError("the decision on the support vectors is not "
+                             "finite")
+    return model

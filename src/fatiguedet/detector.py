@@ -4,15 +4,19 @@ sliding-window scanning, and the CASCADE1 text format.
 
 Feature values are variance-normalized by the window's pixel standard
 deviation (floored at 1), the standard guard against lighting changes.
-One scorer computes them, for the windows of a frame scanned by `detect` and
-for the stacked base-size windows of training alike. It indexes the
-integral image without bounds checks, so it needs every window inside the
-image (`detect` only scans such windows) and every feature rect inside the
-base window (`load_cascade` rejects any other).
+One scorer computes them from integer sub-rect sums, for the windows of a
+frame scanned by `detect` and for the stacked base-size windows of training
+alike; only the corner reads differ. `detect` compiles the cascade once per
+scale and integral-image row stride into flat corner offsets and reads all
+corners of a stage with one `take`. The corner reads index the integral
+image without bounds checks, so they need every window inside the image
+(`detect` only scans such windows) and every feature rect inside the base
+window (`load_cascade` rejects any other).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -102,6 +106,13 @@ class Stage:
         if any(alpha < 0 for _, alpha in self.weak):
             raise ValueError("weak classifier weights must be >= 0")
 
+    @functools.cached_property
+    def votes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thresholds, polarities and alphas of the weak classifiers."""
+        return (np.array([weak.threshold for weak, _ in self.weak]),
+                np.array([float(weak.polarity) for weak, _ in self.weak]),
+                np.array([alpha for _, alpha in self.weak]))
+
 
 @dataclass(frozen=True)
 class Cascade:
@@ -163,37 +174,70 @@ def _scale_sub_rects(feature: HaarFeature, scale: float):
     return tuple(out)
 
 
-def _gather(sums: np.ndarray, xs, ys, x1, y1, x2, y2):
-    """Rectangle sums at window origins (xs, ys): over one integral image
-    with origin arrays, or over window integral images stacked on the last
-    axis, (h + 1, w + 1, n), with origin 0, 0."""
-    return (sums[ys + y2, xs + x2] - sums[ys + y1, xs + x2]
-            - sums[ys + y2, xs + x1] + sums[ys + y1, xs + x1])
+@dataclass(frozen=True, eq=False)
+class _FeatureTable:
+    """The sub-rects of some features at one scale, one row per sub-rect in
+    the order the scorer adds them: the first sub-rect of every feature,
+    then every second one, then the third of each feature in `third`
+    (3H, 3V, 4), then the fourth of each feature in `fourth` (4)."""
+
+    n: int  # features
+    corners: np.ndarray  # (4, rows) ints: x1, y1, x2, y2
+    actual: np.ndarray  # (rows, 1) scaled areas
+    coeff: np.ndarray  # (rows, 1) weight * ideal area
+    third: np.ndarray
+    fourth: np.ndarray
 
 
-def _window_divisor(sums: np.ndarray, squares: np.ndarray, xs, ys,
-                    win_w: int, win_h: int):
-    """max(pixel standard deviation, 1) per window origin."""
-    n = win_w * win_h
-    s1 = _gather(sums, xs, ys, 0, 0, win_w, win_h).astype(np.float64)
-    s2 = _gather(squares, xs, ys, 0, 0, win_w, win_h).astype(np.float64)
-    mean = s1 / n
-    var = s2 / n - mean * mean
+def _feature_table(features: Sequence[HaarFeature],
+                   scale: float) -> _FeatureTable:
+    subs = [_scale_sub_rects(f, scale) for f in features]
+    third = [i for i, s in enumerate(subs) if len(s) > 2]
+    fourth = [i for i, s in enumerate(subs) if len(s) > 3]
+    rows = ([s[0] for s in subs] + [s[1] for s in subs]
+            + [subs[i][2] for i in third] + [subs[i][3] for i in fourth])
+    return _FeatureTable(
+        len(subs), np.array([r[:4] for r in rows], dtype=np.intp).T,
+        np.array([[r[4]] for r in rows]), np.array([[r[5]] for r in rows]),
+        np.array(third, dtype=np.intp), np.array(fourth, dtype=np.intp))
+
+
+def _gather(sums: np.ndarray, x1, y1, x2, y2):
+    """Rectangle sums over window integral images stacked on the last axis,
+    (h + 1, w + 1, n): one row of n per rect when the corners are arrays."""
+    rows = sums.reshape(-1, sums.shape[-1])
+    stride = sums.shape[1]
+    out = rows[y2 * stride + x2] - rows[y1 * stride + x2]
+    out -= rows[y2 * stride + x1]
+    out += rows[y1 * stride + x1]
+    return out
+
+
+def _window_divisor(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray:
+    """max(pixel standard deviation, 1) from the pixel sums s1 and the
+    squared-pixel sums s2 of windows of n pixels."""
+    mean = s1.astype(np.float64) / n
+    var = s2.astype(np.float64) / n - mean * mean
     return np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)
 
 
-def _feature_values(sums: np.ndarray, scaled_features, xs, ys,
-                    div) -> np.ndarray:
-    """Values of features scaled by _scale_sub_rects, one row per window
-    and one column per feature: the weighted rectangle means over div."""
-    out = np.empty((len(div), len(scaled_features)))
-    for col, subs in enumerate(scaled_features):
-        raw = None
-        for sx1, sy1, sx2, sy2, actual, coeff in subs:
-            term = (_gather(sums, xs, ys, sx1, sy1, sx2, sy2) / actual) * coeff
-            raw = term if raw is None else raw + term
-        out[:, col] = raw / div
-    return out
+def _feature_values(rect_sums: np.ndarray, table: _FeatureTable,
+                    div: np.ndarray) -> np.ndarray:
+    """The one scorer: feature values from the integer sums of table's
+    sub-rects (one row per sub-rect, one column per window), one row per
+    feature. Each sub-rect's sum over its actual area times its weighted
+    ideal area, added left to right per feature, over div."""
+    terms = rect_sums / table.actual
+    terms *= table.coeff
+    n = table.n
+    k = 2 * n + len(table.third)
+    raw = terms[:n] + terms[n:2 * n]
+    if len(table.third):
+        raw[table.third] += terms[2 * n:k]
+    if len(table.fourth):
+        raw[table.fourth] += terms[k:]
+    raw /= div
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +272,7 @@ class BoostResult:
 
 
 _EPS_CLAMP = 1e-10
-_CHUNK = 64  # feature columns per block; a block's sums stay in cache
+_CHUNK = 64  # features per block in boost and feature_value_matrix
 
 
 def _presort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,22 +440,30 @@ def feature_value_matrix(windows: Sequence[IntegralImage],
                 f"{base_w}x{base_h}")
     sums = np.stack([ii.sums for ii in windows], axis=-1)
     squares = np.stack([ii.squares for ii in windows], axis=-1)
-    div = _window_divisor(sums, squares, 0, 0, base_w, base_h)
-    return _feature_values(sums, [_scale_sub_rects(f, 1.0) for f in features],
-                           0, 0, div)
+    div = _window_divisor(_gather(sums, 0, 0, base_w, base_h),
+                          _gather(squares, 0, 0, base_w, base_h),
+                          base_w * base_h)
+    out = np.empty((len(windows), len(features)))
+    for lo in range(0, len(features), _CHUNK):
+        table = _feature_table(features[lo:lo + _CHUNK], 1.0)
+        out[:, lo:lo + table.n] = _feature_values(
+            _gather(sums, *table.corners), table, div).T
+    return out
 
 
 def stage_scores(stage: Stage, values_by_weak: np.ndarray) -> np.ndarray:
-    """Sum of alphas over weak classifiers voting +1.
+    """Sum of alphas over weak classifiers voting +1, added in the order of
+    stage.weak (a numpy reduction could reorder the sum).
 
     values_by_weak holds one column per weak classifier, aligned with
     stage.weak.
     """
-    total = np.zeros(values_by_weak.shape[0])
-    for col, (weak, alpha) in enumerate(stage.weak):
-        votes = stump_predict(values_by_weak[:, col], weak.threshold,
-                              weak.polarity)
-        total += np.where(votes == 1, alpha, 0.0)
+    thresholds, polarities, alphas = stage.votes
+    votes = np.where(polarities * (values_by_weak - thresholds) >= 0,
+                     alphas, 0.0)
+    total = np.zeros(len(votes))
+    for column in votes.T:
+        total += column
     return total
 
 
@@ -482,26 +534,96 @@ def train_cascade(positives: Sequence[IntegralImage],
 # ---------------------------------------------------------------------------
 # Scanning
 
-def _cascade_pass(ii: IntegralImage, cascade: Cascade, xs: np.ndarray,
-                  ys: np.ndarray, scale: float) -> np.ndarray:
-    """Indices of the windows at origins (xs, ys) and the given scale that
-    pass every stage; a window leaves at the first stage it fails.
+@dataclass(frozen=True, eq=False)
+class _ScanLevel:
+    """A cascade compiled for one scale and integral-image row stride: the
+    flat corner offsets of the window and of each stage's sub-rects, as four
+    blocks in _gather's order (x2y2, x2y1, x1y2, x1y1), and each stage's
+    feature table."""
 
-    Dividing by scale^2 as well as the window standard deviation brings
-    values from any scale into base window units, so stump thresholds
-    transfer across scales.
-    """
+    scale: float
+    win_w: int
+    win_h: int
+    window: np.ndarray
+    stages: tuple[tuple[Stage, _FeatureTable, np.ndarray], ...]
+
+
+def _flat_offsets(corners: np.ndarray, stride: int) -> np.ndarray:
+    x1, y1, x2, y2 = corners
+    return np.concatenate([y2 * stride + x2, y1 * stride + x2,
+                           y2 * stride + x1, y1 * stride + x1])
+
+
+def _scan_level(cascade: Cascade, scale: float, stride: int) -> _ScanLevel:
     win_w = iround(cascade.base_w * scale)
     win_h = iround(cascade.base_h * scale)
-    div = (scale * scale) * _window_divisor(ii.sums, ii.squares, xs, ys,
-                                            win_w, win_h)
-    alive = np.arange(len(xs))
+    stages = []
     for stage in cascade.stages:
-        scaled = [_scale_sub_rects(weak.feature, scale)
-                  for weak, _ in stage.weak]
-        values = _feature_values(ii.sums, scaled, xs[alive], ys[alive],
-                                 div[alive])
-        alive = alive[stage_scores(stage, values) >= stage.threshold]
+        table = _feature_table([weak.feature for weak, _ in stage.weak],
+                               scale)
+        stages.append((stage, table, _flat_offsets(table.corners, stride)))
+    window = _flat_offsets(np.array([[0], [0], [win_w], [win_h]]), stride)
+    return _ScanLevel(scale, win_w, win_h, window, tuple(stages))
+
+
+@functools.lru_cache(maxsize=8)
+def _scan_plan(cascade: Cascade, width: int, height: int,
+               scale_factor: float, step_frac: float):
+    """(level, base) per scale of a width x height frame: the compiled
+    level and the window origins as flat indices y * stride + x, x-major.
+
+    Keyed by the cascade's value, never its id (a freed cascade's id can
+    be reused), and by the image size, which fixes the stride.
+    """
+    plan = []
+    scale = 1.0
+    while True:
+        level = _scan_level(cascade, scale, width + 1)
+        if level.win_w > width or level.win_h > height:
+            return tuple(plan)
+        step = max(1, iround(step_frac * level.win_w))
+        xs = np.arange(0, width - level.win_w + 1, step)
+        ys = np.arange(0, height - level.win_h + 1, step)
+        plan.append((level, (xs[:, None] + ys * (width + 1)).ravel()))
+        scale *= scale_factor
+
+
+def _flat_rect_sums(flat: np.ndarray, offsets: np.ndarray,
+                    base: np.ndarray) -> np.ndarray:
+    """Sums of the rects whose corners are offsets, one row per rect and one
+    column per window at the flat origins base, in one read."""
+    corners = flat.take(offsets[:, None] + base).reshape(4, -1, len(base))
+    out = corners[0] - corners[1]
+    out -= corners[2]
+    out += corners[3]
+    return out
+
+
+def _scaled_divisor(ii: IntegralImage, level: _ScanLevel,
+                    base: np.ndarray) -> np.ndarray:
+    """scale^2 * max(pixel standard deviation, 1) per window.
+
+    Dividing by scale^2 as well as the standard deviation brings values
+    from any scale into base window units, so stump thresholds transfer
+    across scales.
+    """
+    s1 = _flat_rect_sums(ii.sums.ravel(), level.window, base)[0]
+    s2 = _flat_rect_sums(ii.squares.ravel(), level.window, base)[0]
+    return (level.scale * level.scale) * _window_divisor(
+        s1, s2, level.win_w * level.win_h)
+
+
+def _cascade_pass(ii: IntegralImage, level: _ScanLevel,
+                  base: np.ndarray) -> np.ndarray:
+    """Indices of the windows at flat origins base that pass every stage of
+    level; a window leaves at the first stage it fails."""
+    sums = ii.sums.ravel()
+    div = _scaled_divisor(ii, level, base)
+    alive = np.arange(len(base))
+    for stage, table, offsets in level.stages:
+        values = _feature_values(_flat_rect_sums(sums, offsets, base[alive]),
+                                 table, div[alive])
+        alive = alive[stage_scores(stage, values.T) >= stage.threshold]
         if not len(alive):
             break
     return alive
@@ -547,7 +669,10 @@ def detect(img: Image, cascade: Cascade,
            scan: ScanConfig = ScanConfig()) -> list[FaceBox]:
     """Multi-scale scan: raw cascade hits are grouped by overlap and groups
     below min_neighbors discarded; each surviving group reports its mean
-    box with the group size as score, sorted by (y, x)."""
+    box with the group size as score, sorted by (y, x).
+
+    The compiled levels and origin grids of a cascade and image size are
+    built on the first frame that needs them and reused after that."""
     if img.channels != 1:
         raise ValueError("detect expects a grayscale image")
     if img.width < cascade.base_w or img.height < cascade.base_h:
@@ -556,20 +681,12 @@ def detect(img: Image, cascade: Cascade,
             f"{cascade.base_w}x{cascade.base_h} base window")
     ii = integral_image(img)
     raw: list[Rect] = []
-    scale = 1.0
-    while True:
-        win_w = iround(cascade.base_w * scale)
-        win_h = iround(cascade.base_h * scale)
-        if win_w > img.width or win_h > img.height:
-            break
-        step = max(1, iround(scan.step_frac * win_w))
-        xs0 = np.arange(0, img.width - win_w + 1, step)
-        ys0 = np.arange(0, img.height - win_h + 1, step)
-        xs = np.repeat(xs0, len(ys0))
-        ys = np.tile(ys0, len(xs0))
-        raw.extend(Rect(int(xs[i]), int(ys[i]), win_w, win_h)
-                   for i in _cascade_pass(ii, cascade, xs, ys, scale))
-        scale *= scan.scale_factor
+    for level, base in _scan_plan(cascade, img.width, img.height,
+                                  scan.scale_factor, scan.step_frac):
+        ys, xs = np.divmod(base[_cascade_pass(ii, level, base)],
+                           img.width + 1)
+        raw.extend(Rect(int(x), int(y), level.win_w, level.win_h)
+                   for x, y in zip(xs, ys))
     raw.sort(key=lambda r: (r.y, r.x, r.w, r.h))
     boxes: list[FaceBox] = []
     for group in _group_rects(raw, scan.group_iou):

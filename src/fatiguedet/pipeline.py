@@ -263,7 +263,10 @@ def _key_values(lines: Sequence[str]) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"line {line_no}: repeated key {key!r}")
+        values[key] = value.strip()
     return values
 
 

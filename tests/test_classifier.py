@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -209,8 +210,11 @@ class TestPredict:
         assert svm_predict(model, np.array([0.0])) == 1
 
     def test_non_finite_decision_is_fatigued(self):
-        model = load_svm("SVM1 2 2 1.0 linear\n0.0\n0.5 1e308 1e308\n"
-                         "-0.5 1e308 1e308\n")
+        # load_svm refuses this model; built directly, it must still fail
+        # safe
+        model = SvmModel(support_vectors=np.full((2, 2), 1e308),
+                         dual_coef=np.array([0.5, -0.5]), bias=0.0,
+                         kernel=LINEAR, C=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isnan(svm_decision(model, np.array([1.0, 1.0])))
             assert svm_predict(model, np.array([1.0, 1.0])) == 1
@@ -345,6 +349,16 @@ class TestSvmCodec:
         lines[line] = " ".join(row)
         with pytest.raises(ParseError):
             load_svm("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("text", [
+        "SVM1 2 2 1.0 linear\n0.0\n0.5 1e308 1e308\n-0.5 1e308 1e308\n",
+        "SVM1 1 2 1.0 linear\n1e308\n0.5 1e154\n-0.5 -1e154\n"],
+        ids=["kernel-overflows", "decision-overflows"])
+    def test_overflowing_model_rejected_without_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="not finite"):
+                load_svm(text)
 
     def test_bad_kernel_token(self):
         with pytest.raises(ParseError):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,43 @@ class TestExitCodes:
                      str(tmp_path / "never"), "--detector",
                      str(cascade)]) == 3
         assert "line 3" in capsys.readouterr().err
+
+    def test_repeated_config_key_is_data_error(self, workdir, tmp_path,
+                                               capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("clahe_tiles = 3\nclahe_tiles = 8\n")
+        assert main(["train", "--manifest",
+                     str(workdir / "data" / "manifest.csv"), "--out-dir",
+                     str(tmp_path / "never"), "--config", str(cfg)]) == 2
+        assert "repeated key 'clahe_tiles'" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_repeated_section_key_is_model_error(self, workdir, tmp_path,
+                                                 capsys):
+        text = (workdir / "models" / "model.pipe1").read_text()
+        model = tmp_path / "model.pipe1"
+        model.write_text(text.replace("clahe_tiles = 8\n",
+                                      "clahe_tiles = 3\nclahe_tiles = 8\n"))
+        assert main(["eval", "--manifest",
+                     str(workdir / "data" / "manifest.csv"), "--model",
+                     str(model)]) == 3
+        assert "repeated key 'clahe_tiles'" in capsys.readouterr().err
+
+    def test_overflowing_svm_is_model_error(self, workdir, tmp_path, capsys):
+        text = (workdir / "models" / "model.pipe1").read_text()
+        head, rest = text.split("SECTION svm\n")
+        k = int(rest.split()[1])
+        rows = "".join(f"{coef} {' '.join(['1e308'] * k)}\n"
+                       for coef in (0.5, -0.5))
+        model = tmp_path / "model.pipe1"
+        model.write_text(f"{head}SECTION svm\nSVM1 {k} 2 1.0 linear\n0.0\n"
+                         f"{rows}{rest[rest.index('END'):]}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--manifest",
+                         str(workdir / "data" / "manifest.csv"), "--model",
+                         str(model)]) == 3
+        assert "not finite" in capsys.readouterr().err
 
     def test_model_error(self, workdir):
         bad_model = workdir / "data" / "manifest.csv"  # not a PIPE1 file

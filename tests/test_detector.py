@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fatiguedet import detector
 from fatiguedet.detector import (
+    KINDS,
     BoostResult,
     BoostRound,
     Cascade,
@@ -97,21 +98,66 @@ def classify_window(ii, cascade, origin, scale):
     return True
 
 
+def reference_detect(img, cascade, scan):
+    """detect's boxes as (x, y, w, h, score), from classify_window at every
+    scan origin of every scale, one window at a time."""
+    ii = integral_image(img)
+    raw = []
+    scale = 1.0
+    while True:
+        win_w = iround(cascade.base_w * scale)
+        win_h = iround(cascade.base_h * scale)
+        if win_w > img.width or win_h > img.height:
+            break
+        step = max(1, iround(scan.step_frac * win_w))
+        for ox in range(0, img.width - win_w + 1, step):
+            for oy in range(0, img.height - win_h + 1, step):
+                if classify_window(ii, cascade, (ox, oy), scale):
+                    raw.append(Rect(ox, oy, win_w, win_h))
+        scale *= scan.scale_factor
+    raw.sort(key=lambda r: (r.y, r.x, r.w, r.h))
+    expected = []
+    for rect_group in _group_rects(raw, scan.group_iou):
+        group = rect_group.members
+        if len(group) < scan.min_neighbors:
+            continue
+        x = iround(sum(r.x for r in group) / len(group))
+        y = iround(sum(r.y for r in group) / len(group))
+        w = iround(sum(r.w for r in group) / len(group))
+        h = iround(sum(r.h for r in group) / len(group))
+        expected.append((x, y, min(w, img.width - x), min(h, img.height - y),
+                         len(group)))
+    expected.sort(key=lambda t: (t[1], t[0]))
+    return expected
+
+
+def box_tuples(boxes):
+    return [(b.rect.x, b.rect.y, b.rect.w, b.rect.h, b.score) for b in boxes]
+
+
+def origin_base(ii, origin):
+    """The flat index of a window origin in ii's integral images."""
+    return np.array([origin[1] * (ii.width + 1) + origin[0]])
+
+
 def scorer_value(ii, feature, origin, scale):
-    """The vectorized scorer's value for one window of a frame."""
-    xs, ys = np.array([origin[0]]), np.array([origin[1]])
-    win = iround(24 * scale)
-    div = (scale * scale) * detector._window_divisor(ii.sums, ii.squares, xs,
-                                                     ys, win, win)
-    subs = [detector._scale_sub_rects(feature, scale)]
-    return float(detector._feature_values(ii.sums, subs, xs, ys, div)[0, 0])
+    """The scan's value of feature for the window at origin, through the
+    compiled level of a one-stump cascade."""
+    stump = WeakClassifier(feature, 0.0, 1)
+    cascade = Cascade(24, 24, (Stage(((stump, 1.0),), 0.0),))
+    level = detector._scan_level(cascade, scale, ii.width + 1)
+    base = origin_base(ii, origin)
+    _, table, offsets = level.stages[0]
+    rect_sums = detector._flat_rect_sums(ii.sums.ravel(), offsets, base)
+    div = detector._scaled_divisor(ii, level, base)
+    return float(detector._feature_values(rect_sums, table, div)[0, 0])
 
 
 def passes(ii, cascade, origin, scale):
     """Whether detect's cascade pass accepts the window at origin."""
-    alive = detector._cascade_pass(ii, cascade, np.array([origin[0]]),
-                                   np.array([origin[1]]), scale)
-    return len(alive) == 1
+    level = detector._scan_level(cascade, scale, ii.width + 1)
+    return len(detector._cascade_pass(ii, level, origin_base(ii, origin))) \
+        == 1
 
 
 class TestHaarFeature:
@@ -541,40 +587,102 @@ class TestDetect:
         draw_face(canvas, Rect(18, 8, 60, 60), False)
         img = Image.from_float(canvas + rng.normal(0, 8.0, canvas.shape))
         scan = ScanConfig(min_neighbors=1)
-        got = detect(img, face_cascade, scan)
-
-        ii = integral_image(img)
-        raw = []
-        scale = 1.0
-        while True:
-            win = iround(24 * scale)
-            if win > 100:
-                break
-            step = max(1, iround(scan.step_frac * win))
-            for ox in range(0, 100 - win + 1, step):
-                for oy in range(0, 100 - win + 1, step):
-                    if classify_window(ii, face_cascade, (ox, oy), scale):
-                        raw.append(Rect(ox, oy, win, win))
-            scale *= scan.scale_factor
-        raw.sort(key=lambda r: (r.y, r.x, r.w, r.h))
-        expected = []
-        for rect_group in _group_rects(raw, scan.group_iou):
-            group = rect_group.members
-            if len(group) < scan.min_neighbors:
-                continue
-            x = iround(sum(r.x for r in group) / len(group))
-            y = iround(sum(r.y for r in group) / len(group))
-            w = iround(sum(r.w for r in group) / len(group))
-            h = iround(sum(r.h for r in group) / len(group))
-            expected.append((x, y, min(w, 100 - x), min(h, 100 - y),
-                             len(group)))
-        expected.sort(key=lambda t: (t[1], t[0]))
-        assert [(b.rect.x, b.rect.y, b.rect.w, b.rect.h, b.score)
-                for b in got] == expected
+        assert box_tuples(detect(img, face_cascade, scan)) == \
+            reference_detect(img, face_cascade, scan)
 
     def test_image_too_small(self, face_cascade):
         with pytest.raises(ImageTooSmall):
             detect(gray(np.zeros((20, 20))), face_cascade)
+
+
+# (x, y) size units of each kind: the rect sides must be multiples of them
+UNITS = {"2H": (2, 1), "2V": (1, 2), "3H": (3, 1), "3V": (1, 3), "4": (2, 2)}
+
+
+@st.composite
+def small_cascades(draw):
+    """1-3 stages of 1-4 stumps over a small base window; the first stage
+    holds one stump of each of the five kinds too."""
+    base_w, base_h = draw(st.integers(6, 12)), draw(st.integers(6, 12))
+
+    def stump(kind):
+        ux, uy = UNITS[kind]
+        w = ux * draw(st.integers(1, base_w // ux))
+        h = uy * draw(st.integers(1, base_h // uy))
+        rect = Rect(draw(st.integers(0, base_w - w)),
+                    draw(st.integers(0, base_h - h)), w, h)
+        return (WeakClassifier(HaarFeature(kind, rect),
+                               draw(st.floats(-20, 20)),
+                               draw(st.sampled_from([1, -1]))),
+                draw(st.floats(0.1, 3.0)))
+
+    stages = []
+    for i in range(draw(st.integers(1, 3))):
+        kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1,
+                              max_size=4))
+        if i == 0:
+            kinds = draw(st.permutations(KINDS)) + kinds
+        weak = tuple(stump(kind) for kind in kinds)
+        total = sum(alpha for _, alpha in weak)
+        stages.append(Stage(weak, draw(st.floats(0.0, 1.0)) * total))
+    return Cascade(base_w, base_h, tuple(stages))
+
+
+class TestCompiledScan:
+    @settings(max_examples=30)
+    @given(cascade=small_cascades(), data=st.data())
+    def test_detect_matches_scalar_reference(self, cascade, data):
+        width = data.draw(st.integers(cascade.base_w, 40))
+        height = data.draw(st.integers(cascade.base_h, 40))
+        scan = ScanConfig(scale_factor=data.draw(st.floats(1.1, 2.0)),
+                          step_frac=data.draw(st.floats(0.05, 1.0)),
+                          min_neighbors=1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        img = gray(rng.integers(0, 256, size=(height, width)))
+        assert box_tuples(detect(img, cascade, scan)) == \
+            reference_detect(img, cascade, scan)
+
+    def test_tables_follow_the_cascade_and_the_image_size(self,
+                                                         face_cascade):
+        first = face_cascade.stages[0]
+        raised = Cascade(face_cascade.base_w, face_cascade.base_h,
+                         (Stage(first.weak, first.threshold + 2.0),)
+                         + face_cascade.stages[1:])
+        texts = [save_cascade(face_cascade), save_cascade(raised)]
+        frames = [generate(SyntheticSpec(frame_w=w, frame_h=h, n_frames=1,
+                                         fraction_fatigued=0.0, seed=31))[0]
+                  .image for w, h in ((160, 160), (136, 124))]
+        expected = {}
+        for c, text in enumerate(texts):
+            for f, img in enumerate(frames):
+                detector._scan_plan.cache_clear()
+                expected[c, f] = detect(img, load_cascade(text))
+        assert expected[0, 0] != expected[1, 0]
+        assert expected[0, 1] != expected[1, 1]
+        for i in range(12):
+            c, f = i % 2, (i // 2) % 2
+            # a fresh object every call, so a freed cascade's id can recur
+            assert detect(frames[f], load_cascade(texts[c])) == \
+                expected[c, f]
+
+    def test_stage_votes_add_left_to_right(self, rng):
+        # 1e16 + 1 rounds back to 1e16, so summed left to right the big
+        # alpha first swallows every 1 and the stage rejects; a pairwise
+        # sum (numpy's, from 8 terms) would reach the threshold
+        always = WeakClassifier(HaarFeature("2H", Rect(0, 0, 12, 12)),
+                                -math.inf, 1)
+        img = gray(rng.integers(0, 256, size=(24, 24)))
+        big_first = (1e16,) + (1.0,) * 9
+        assert np.sum(big_first) >= 1e16 + 2
+        for alphas, found in ((big_first, False), (big_first[::-1], True)):
+            stage = Stage(tuple((always, a) for a in alphas), 1e16 + 2)
+            cascade = Cascade(24, 24, (stage,))
+            assert classify_window(integral_image(img), cascade, (0, 0),
+                                   1.0) is found
+            assert bool(detect(img, cascade,
+                               ScanConfig(min_neighbors=1))) is found
+            scores = stage_scores(stage, np.zeros((1, len(alphas))))
+            assert bool(scores[0] >= stage.threshold) is found
 
 
 class TestCascadeCodec:

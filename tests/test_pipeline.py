@@ -237,6 +237,10 @@ class TestConfig:
         cfg = parse_config("# a comment\nseed = 4  # trailing\n")
         assert cfg.seed == 4
 
+    def test_repeated_key_is_config_error(self):
+        with pytest.raises(ConfigError, match="line 2: repeated key"):
+            parse_config("clahe_tiles = 3\nclahe_tiles = 8\n")
+
     def test_default_text_is_pinned(self):
         assert render_config(CFG) == DEFAULT_CONFIG_TEXT
 
@@ -472,10 +476,11 @@ class TestPipe1Codec:
         ("clahe_tiles = 8\n", "clahe_tiles = 8\nmystery = 1\n"),
         ("min_neighbors = 3\n", "min_neighbors = 3\nmystery = 1\n"),
         ("low_light = auto\n", "low_light = bogus\n"),
-        ("min_neighbors = 3\n", "min_neighbors = 0\n")],
+        ("min_neighbors = 3\n", "min_neighbors = 0\n"),
+        ("clahe_tiles = 8\n", "clahe_tiles = 3\nclahe_tiles = 8\n")],
         ids=["missing-geometry", "missing-preprocess", "missing-scan",
              "unknown-geometry", "unknown-preprocess", "unknown-scan",
-             "bad-low-light", "bad-min-neighbors"])
+             "bad-low-light", "bad-min-neighbors", "repeated-preprocess"])
     def test_bad_section_key_is_parse_error(self, model, face_cascade,
                                             old, new):
         text = save_pipeline(PipelineModel(

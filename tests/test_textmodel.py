@@ -223,6 +223,7 @@ def mutations(draw, text):
     elif kind == "drop":
         del lines[i]
     elif kind == "duplicate":
+        must_fail = "=" in lines[i]  # a PIPE1 settings key named twice
         lines.insert(i, lines[i])
     else:
         lines.append(draw(st.sampled_from(lines + ["x", "-1", "nan"])))
