@@ -2,13 +2,15 @@
 """Print the sha256 of the model and trace files of the C09 desk run.
 
 Makes the C09 desk set (400 frames, seed 100) in a temporary directory,
-then runs `train --seed 7`, `simulate` and `simulate --t-low 3
---water-spray` through `cli.main`. It then runs the detector end to end:
+then runs `train --seed 7`, `simulate`, `simulate --t-low 3 --water-spray` and
+`eval --folds 5 --seed 0 --json-out` through `cli.main`. It then runs the
+detector end to end:
 `detect-train --n-frames 60 --stage-rounds 3,8 --feature-step 3 --seed 7`,
 `train --seed 7 --detector` with that cascade on the same set, and
 `simulate` with the resulting PIPE1. Two commits whose printed digests
-agree write byte-identical model, cascade and trace files, which is how a
-refactor or a scan change shows that it changed no output.
+agree write byte-identical model, cascade, trace and cross-validation
+report files, which is how a refactor or a scan change shows that it
+changed no output.
 
     PYTHONPATH=src python3 scripts/model_digests.py
 """
@@ -24,7 +26,7 @@ from fatiguedet.synth import SyntheticSpec, write_dataset
 
 FILES = ("model.pca1", "model.svm1", "model.pipe1", "trace.txt",
          "trace_spray.txt", "cascade.txt", "detector/model.pipe1",
-         "detector/trace.txt")
+         "detector/trace.txt", "eval.json")
 
 
 def _run(argv: list[str]) -> None:
@@ -49,6 +51,9 @@ def main() -> int:
         _run(["simulate", "--manifest", str(manifest), "--model", model,
               "--t-low", "3", "--water-spray",
               "--out", str(out / "trace_spray.txt")])
+        _run(["eval", "--manifest", str(manifest), "--model", model,
+              "--folds", "5", "--seed", "0",
+              "--json-out", str(out / "eval.json")])
         cascade = str(out / "cascade.txt")
         _run(["detect-train", "--out", cascade, "--n-frames", "60",
               "--stage-rounds", "3,8", "--feature-step", "3", "--seed", "7"])

@@ -4,10 +4,12 @@ Modules:
   imaging    - PNM codec, grayscale, resizing, integral images, preprocessing
   detector   - Haar features, boosted cascade training, multi-scale detection
   features   - face/eye/mouth ROI geometry and PCA compression
-  classifier - SMO-trained soft-margin SVM and cross-validation
+  classifier - SMO-trained soft-margin SVM and cross_validate, the one
+               cross-validation runner (group-aware or stratified folds)
   fatigue    - running-sum accumulator and alert state machine
   synth      - synthetic labeled face-frame generator
-  pipeline   - dataset ingest, end-to-end training/inference, evaluation
+  pipeline   - dataset ingest, one per-frame feature loop for training and
+               streaming inference, evaluation through cross_validate
   cli        - command-line entry points
 """
 

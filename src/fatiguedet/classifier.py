@@ -1,5 +1,8 @@
 """Soft-margin SVM trained by sequential minimal optimization, with kernel
-evaluation, prediction, and stratified k-fold cross-validation.
+evaluation, prediction, and the one cross-validation runner:
+`cross_validate` checks its inputs, assigns group-aware or seeded
+stratified folds, trains and tests an SVM per fold, and returns a
+MetricsReport.
 
 Labels are +1 (fatigued) and -1 (alert). A decision value of exactly zero,
 or one that is not finite, classifies as fatigued: in a safety system a
@@ -233,16 +236,12 @@ def svm_train(x: np.ndarray, y: Sequence[int], C: float = 1.0,
 
 
 def svm_decision(model: SvmModel, x: np.ndarray) -> float:
-    """Signed distance surrogate: sum_i coef_i K(sv_i, x) + b."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise DimensionMismatch(
-            f"expected length {model.n_features}, got {x.shape}")
-    k = kernel_matrix(model.kernel, model.support_vectors, x[None, :])[:, 0]
-    return float(model.dual_coef @ k + model.bias)
+    """The svm_decision_many value of one vector."""
+    return float(svm_decision_many(model, np.asarray(x)[None])[0])
 
 
 def svm_decision_many(model: SvmModel, x: np.ndarray) -> np.ndarray:
+    """Signed distance surrogate of each row: sum_i coef_i K(sv_i, x) + b."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise DimensionMismatch(
@@ -267,14 +266,50 @@ def svm_predict(model: SvmModel, x: np.ndarray) -> int:
 # Cross-validation
 
 @dataclass
-class CvReport:
-    fold_accuracies: list[float]
-    mean_accuracy: float
+class MetricsReport:
+    accuracy: float
+    precision: float | None
+    recall: float | None
     tp: int
     fp: int
     tn: int
     fn: int
+    fold_accuracies: list[float]
+    mean_fold_accuracy: float
     fold_test_indices: list[list[int]]
+    mean_detection_latency_ticks: float | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "accuracy": self.accuracy,
+            "precision": self.precision,
+            "recall": self.recall,
+            "confusion": {"tp": self.tp, "fp": self.fp, "tn": self.tn,
+                          "fn": self.fn},
+            "fold_accuracies": self.fold_accuracies,
+            "mean_fold_accuracy": self.mean_fold_accuracy,
+            "mean_detection_latency_ticks":
+                self.mean_detection_latency_ticks,
+        }
+
+    def to_text(self) -> str:
+        def opt(v):
+            return "n/a" if v is None else f"{v:.4f}"
+
+        lines = [
+            f"accuracy  {self.accuracy:.4f}",
+            f"precision {opt(self.precision)}",
+            f"recall    {opt(self.recall)}",
+            f"confusion tp={self.tp} fp={self.fp} tn={self.tn} "
+            f"fn={self.fn}",
+            "folds     " + " ".join(f"{a:.4f}"
+                                    for a in self.fold_accuracies),
+            f"mean fold {self.mean_fold_accuracy:.4f}",
+        ]
+        if self.mean_detection_latency_ticks is not None:
+            lines.append(
+                f"latency   {self.mean_detection_latency_ticks:.2f} ticks")
+        return "\n".join(lines) + "\n"
 
 
 def stratified_folds(y: np.ndarray, folds: int,
@@ -302,36 +337,33 @@ def stratified_folds(y: np.ndarray, folds: int,
     return [sorted(fold) for fold in assignments]
 
 
-def run_folds(x: np.ndarray, y: np.ndarray, fold_indices: list[list[int]],
-              C: float, kernel: KernelSpec, tol: float = 1e-3,
-              max_passes: int = 200) -> CvReport:
-    """Train on the complement of each fold, test on the fold, pool counts."""
-    accs: list[float] = []
-    tp = fp = tn = fn = 0
-    for test_idx in fold_indices:
-        test = np.asarray(test_idx, dtype=int)
-        mask = np.ones(len(y), dtype=bool)
-        mask[test] = False
-        model = svm_train(x[mask], y[mask], C=C, kernel=kernel, tol=tol,
-                          max_passes=max_passes)
-        pred = decision_labels(svm_decision_many(model, x[test]))
-        truth = y[test]
-        accs.append(float(np.mean(pred == truth)))
-        tp += int(np.sum((pred == 1) & (truth == 1)))
-        fp += int(np.sum((pred == 1) & (truth == -1)))
-        tn += int(np.sum((pred == -1) & (truth == -1)))
-        fn += int(np.sum((pred == -1) & (truth == 1)))
-    return CvReport(fold_accuracies=accs,
-                    mean_accuracy=float(np.mean(accs)),
-                    tp=tp, fp=fp, tn=tn, fn=fn,
-                    fold_test_indices=[list(f) for f in fold_indices])
+def group_folds(groups: Sequence[str], folds: int,
+                seed: int) -> list[list[int]]:
+    """Whole groups assigned to folds, largest first onto the lightest
+    fold, after a seeded shuffle of equal-size orderings."""
+    rng = np.random.default_rng(seed)
+    names = sorted(set(groups))
+    rng.shuffle(names)
+    members = {g: [i for i, x in enumerate(groups) if x == g] for g in names}
+    assignment: list[list[int]] = [[] for _ in range(folds)]
+    for name in sorted(names, key=lambda g: -len(members[g])):
+        min(assignment, key=len).extend(members[name])  # first lightest
+    return [sorted(f) for f in assignment]
 
 
 def cross_validate(x: np.ndarray, y: Sequence[int], folds: int,
                    C: float = 1.0, kernel: KernelSpec = KernelSpec(),
-                   seed: int = 0, tol: float = 1e-3,
-                   max_passes: int = 200) -> CvReport:
-    """Stratified k-fold cross-validation; deterministic for a given seed."""
+                   seed: int = 0,
+                   groups: Sequence[str | None] | None = None,
+                   ) -> MetricsReport:
+    """k-fold cross-validation of an SVM; deterministic for a given seed.
+
+    Folds are group-aware (no group in both train and test) when every
+    sample names a group and there are at least `folds` groups; otherwise
+    they are seeded stratified folds. Each fold trains on its complement
+    with svm_train's default tol and max_passes, and the counts are pooled
+    over the folds.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
@@ -339,15 +371,33 @@ def cross_validate(x: np.ndarray, y: Sequence[int], folds: int,
         raise ValueError("folds must be >= 2")
     if n < folds:
         raise TooFewSamples(f"{n} samples cannot fill {folds} folds")
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == -1))
+    n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == -1))
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("cross-validation needs both classes")
     if n_pos < 2 or n_neg < 2:
         raise TooFewSamples("need at least 2 samples per class")
-    fold_indices = stratified_folds(y, folds, seed)
-    return run_folds(x, y, fold_indices, C, kernel, tol=tol,
-                     max_passes=max_passes)
+    named = [g for g in groups or () if g]
+    if len(named) == n and len(set(named)) >= folds:  # folds >= 2
+        fold_indices = group_folds(named, folds, seed)
+    else:
+        fold_indices = stratified_folds(y, folds, seed)
+    accs: list[float] = []
+    pred = np.empty(n)
+    for test in fold_indices:
+        mask = np.ones(n, dtype=bool)
+        mask[test] = False
+        model = svm_train(x[mask], y[mask], C=C, kernel=kernel)
+        pred[test] = decision_labels(svm_decision_many(model, x[test]))
+        accs.append(float(np.mean(pred[test] == y[test])))
+    tp, fp, tn, fn = (int(np.sum((pred == p) & (y == t)))
+                      for p, t in ((1, 1), (1, -1), (-1, -1), (-1, 1)))
+    return MetricsReport(
+        accuracy=(tp + tn) / n,
+        precision=tp / (tp + fp) if tp + fp else None,
+        recall=tp / (tp + fn) if tp + fn else None,
+        tp=tp, fp=fp, tn=tn, fn=fn, fold_accuracies=accs,
+        mean_fold_accuracy=float(np.mean(accs)),
+        fold_test_indices=fold_indices)
 
 
 # ---------------------------------------------------------------------------

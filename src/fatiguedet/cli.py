@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .detector import save_cascade
-from .errors import DataError, ModelError
+from .errors import ConfigError, DataError, ModelError, ParseError
 from .pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
@@ -27,6 +27,7 @@ from .pipeline import (
     ingest,
     load_pipeline,
     parse_config,
+    read_text,
     render_config,
     save_pipeline,
 )
@@ -54,7 +55,7 @@ def _load_config(args) -> PipelineConfig:
         path = Path(args.config)
         if not path.exists():
             raise DataError(f"config file {path} does not exist")
-        cfg = parse_config(path.read_text(), cfg)
+        cfg = parse_config(read_text(path, ConfigError), cfg)
     overrides = "".join(f"{key} = {value}\n"
                         for key, value in vars(args).items()
                         if key in CONFIG_KEYS and value is not None)
@@ -98,7 +99,7 @@ def _load_model(path: str):
     p = Path(path)
     if not p.exists():
         raise ModelError(f"model file {p} does not exist")
-    return load_pipeline(p.read_text())
+    return load_pipeline(read_text(p, ParseError))
 
 
 def cmd_eval(args) -> int:
@@ -143,12 +144,16 @@ def _stage_rounds(text: str) -> tuple[int, ...]:
     return rounds
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, "
-                                         f"got {text!r}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, "
+                                             f"got {text!r}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 def _rate(text: str) -> float:
@@ -211,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="cross-validated metrics")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True, help="PIPE1 model file")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_int_at_least(2), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json-out", help="machine-readable report path")
     p.set_defaults(func=cmd_eval)
@@ -236,11 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect-train",
                        help="train the synthetic face cascade")
     p.add_argument("--out", required=True, help="CASCADE1 output path")
-    p.add_argument("--n-frames", type=_positive_int, default=120)
+    p.add_argument("--n-frames", type=_int_at_least(1), default=120)
     p.add_argument("--stage-rounds", type=_stage_rounds, default="4,10",
                    help="comma-separated boosting rounds per stage")
     p.add_argument("--target-rate", type=_rate, default=0.99)
-    p.add_argument("--feature-step", type=_positive_int, default=2)
+    p.add_argument("--feature-step", type=_int_at_least(1), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_detect_train)
 

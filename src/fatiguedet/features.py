@@ -196,14 +196,13 @@ def pca_fit(samples: np.ndarray, k: int | None = None,
 
 
 def pca_project(model: PcaModel, v: np.ndarray) -> np.ndarray:
-    """Coordinates of v in the component basis: components @ (v - mean)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (model.d,):
-        raise DimensionMismatch(f"expected length {model.d}, got {v.shape}")
-    return model.components @ (v - model.mean)
+    """The pca_project_many coordinates of one vector."""
+    return pca_project_many(model, np.asarray(v)[None])[0]
 
 
 def pca_project_many(model: PcaModel, x: np.ndarray) -> np.ndarray:
+    """Coordinates of each row in the component basis:
+    (x - mean) @ components.T."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.d:
         raise DimensionMismatch(f"expected (n, {model.d}), got {x.shape}")

@@ -11,11 +11,12 @@ are byte-reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Sequence, get_args, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -26,12 +27,13 @@ from .errors import (
     BadLabel,
     ConfigError,
     EmptyManifest,
+    FatigueDetError,
     ManifestError,
     MissingFile,
     ModelMismatch,
     NoFacesFound,
+    ParseError,
     SingleClass,
-    TooFewSamples,
 )
 from .features import PcaModel, RoiGeometry, load_pca, save_pca
 from .imaging import Image, PreprocessConfig, Rect, load_pnm, preprocess
@@ -41,7 +43,15 @@ logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# Manifest ingestion
+# Input files
+
+def read_text(path: str | Path, error: type[FatigueDetError]) -> str:
+    """The text of a file; bytes that do not decode raise `error`."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not text: {exc}") from None
+
 
 @dataclass(frozen=True)
 class ManifestRecord:
@@ -76,36 +86,36 @@ def ingest(manifest_path: str | Path) -> list[ManifestRecord]:
         raise MissingFile(f"manifest {manifest_path} does not exist")
     base = manifest_path.parent
     records: list[ManifestRecord] = []
-    with open(manifest_path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ManifestError(f"line {line_no}: expected at least "
-                                    f"path,label")
-            if line_no == 1:
-                try:
-                    int(row[1])
-                except ValueError:
-                    continue  # header line
-            if len(row) not in (2, 3, 7):
-                raise ManifestError(
-                    f"line {line_no}: expected 2, 3, or 7 fields, "
-                    f"got {len(row)}")
-            label = _parse_label(row[1].strip(), line_no)
-            group = row[2].strip() or None if len(row) >= 3 else None
-            box = None
-            if len(row) == 7:
-                try:
-                    x, y, w, h = (int(v) for v in row[3:7])
-                    box = Rect(x, y, w, h)
-                except ValueError as exc:
-                    raise ManifestError(f"line {line_no}: bad box: {exc}") \
-                        from None
-            path = base / row[0].strip()
-            if not path.exists():
-                raise MissingFile(f"line {line_no}: {path} does not exist")
-            records.append(ManifestRecord(path, label, group, box))
+    text = io.StringIO(read_text(manifest_path, ManifestError), newline="")
+    for line_no, row in enumerate(csv.reader(text), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < 2:
+            raise ManifestError(f"line {line_no}: expected at least "
+                                f"path,label")
+        if line_no == 1:
+            try:
+                int(row[1])
+            except ValueError:
+                continue  # header line
+        if len(row) not in (2, 3, 7):
+            raise ManifestError(
+                f"line {line_no}: expected 2, 3, or 7 fields, "
+                f"got {len(row)}")
+        label = _parse_label(row[1].strip(), line_no)
+        group = row[2].strip() or None if len(row) >= 3 else None
+        box = None
+        if len(row) == 7:
+            try:
+                x, y, w, h = (int(v) for v in row[3:7])
+                box = Rect(x, y, w, h)
+            except ValueError as exc:
+                raise ManifestError(f"line {line_no}: bad box: {exc}") \
+                    from None
+        path = base / row[0].strip()
+        if not path.exists():
+            raise MissingFile(f"line {line_no}: {path} does not exist")
+        records.append(ManifestRecord(path, label, group, box))
     if not records:
         raise EmptyManifest(f"{manifest_path} holds no records")
     return records
@@ -132,6 +142,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if "\0" in (self.cascade_path or ""):
+            raise ValueError("cascade_path holds a NUL byte")
         if self.no_face_policy not in ("skip", "fatigued"):
             raise ValueError(f"no_face_policy: expected skip or fatigued, "
                              f"got {self.no_face_policy!r}")
@@ -327,28 +339,44 @@ def frame_box(img: Image, model_or_cascade, scan: ScanConfig,
     return Rect(0, 0, img.width, img.height)
 
 
+def frame_vectors(frames: Iterable[Image],
+                  boxes: Sequence[Rect | None] | None,
+                  geometry: RoiGeometry, prep: PreprocessConfig,
+                  cascade: Cascade | None, scan: ScanConfig,
+                  ) -> Iterator[np.ndarray | None]:
+    """Each frame's feature vector, or None where no face box is found, one
+    frame at a time: preprocess, frame_box (boxes[i] is frame i's fallback
+    box), then frame_features."""
+    for i, img in enumerate(frames):
+        img = preprocess(img, prep)
+        box = frame_box(img, cascade, scan,
+                        boxes[i] if boxes is not None else None)
+        yield None if box is None else \
+            features.frame_features(img, box, geometry)
+
+
 def extract_features(records: Sequence[ManifestRecord],
                      geometry: RoiGeometry, prep: PreprocessConfig,
                      cascade: Cascade | None, scan: ScanConfig,
                      ) -> tuple[np.ndarray, np.ndarray, list, list[int]]:
     """Feature matrix for a dataset: (X, labels, groups, skipped indices)."""
     vectors = []
-    labels = []
-    groups = []
+    kept: list[ManifestRecord] = []
     skipped: list[int] = []
-    for i, rec in enumerate(records):
-        img = preprocess(rec.load_image(), prep)
-        box = frame_box(img, cascade, scan, rec.box)
-        if box is None:
-            logger.warning("no face found in %s; frame skipped", rec.path)
+    frames = (rec.load_image() for rec in records)
+    for i, vec in enumerate(frame_vectors(frames, [r.box for r in records],
+                                          geometry, prep, cascade, scan)):
+        if vec is None:
+            logger.warning("no face found in %s; frame skipped",
+                           records[i].path)
             skipped.append(i)
-            continue
-        vectors.append(features.frame_features(img, box, geometry))
-        labels.append(rec.label)
-        groups.append(rec.group)
+        else:
+            vectors.append(vec)
+            kept.append(records[i])
     if not vectors:
         raise NoFacesFound("every frame was skipped")
-    return np.array(vectors), np.array(labels), groups, skipped
+    return (np.array(vectors), np.array([r.label for r in kept]),
+            [r.group for r in kept], skipped)
 
 
 def fit_pipeline(records: Sequence[ManifestRecord],
@@ -366,7 +394,7 @@ def fit_and_score(records: Sequence[ManifestRecord],
     fit already made, and the number of frames kept."""
     cascade = None
     if config.cascade_path:
-        cascade = load_cascade(Path(config.cascade_path).read_text())
+        cascade = load_cascade(read_text(config.cascade_path, ParseError))
     x, y, _, skipped = extract_features(records, config.geometry,
                                         config.preprocess, cascade,
                                         config.scan)
@@ -436,15 +464,13 @@ def infer_stream(model: PipelineModel, frames: Iterable[Image],
 
     def frame_labels():
         nonlocal skipped
-        for i, img in enumerate(frames):
-            img = preprocess(img, model.preprocess)
-            fallback = boxes[i] if boxes is not None else None
-            box = frame_box(img, model.cascade, model.scan, fallback)
-            if box is None:
+        for vec in frame_vectors(frames, boxes, model.geometry,
+                                 model.preprocess, model.cascade,
+                                 model.scan):
+            if vec is None:
                 skipped += 1
                 yield 1 if no_face_policy == "fatigued" else None
             else:
-                vec = features.frame_features(img, box, model.geometry)
                 z = features.pca_project(model.pca, vec)
                 yield classifier.svm_predict(model.svm, z)
 
@@ -455,111 +481,23 @@ def infer_stream(model: PipelineModel, frames: Iterable[Image],
 # ---------------------------------------------------------------------------
 # Evaluation
 
-@dataclass
-class MetricsReport:
-    accuracy: float
-    precision: float | None
-    recall: float | None
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    fold_accuracies: list[float]
-    mean_fold_accuracy: float
-    fold_test_indices: list[list[int]]
-    mean_detection_latency_ticks: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "confusion": {"tp": self.tp, "fp": self.fp, "tn": self.tn,
-                          "fn": self.fn},
-            "fold_accuracies": self.fold_accuracies,
-            "mean_fold_accuracy": self.mean_fold_accuracy,
-            "mean_detection_latency_ticks":
-                self.mean_detection_latency_ticks,
-        }
-
-    def to_text(self) -> str:
-        def opt(v):
-            return "n/a" if v is None else f"{v:.4f}"
-
-        lines = [
-            f"accuracy  {self.accuracy:.4f}",
-            f"precision {opt(self.precision)}",
-            f"recall    {opt(self.recall)}",
-            f"confusion tp={self.tp} fp={self.fp} tn={self.tn} "
-            f"fn={self.fn}",
-            "folds     " + " ".join(f"{a:.4f}"
-                                    for a in self.fold_accuracies),
-            f"mean fold {self.mean_fold_accuracy:.4f}",
-        ]
-        if self.mean_detection_latency_ticks is not None:
-            lines.append(
-                f"latency   {self.mean_detection_latency_ticks:.2f} ticks")
-        return "\n".join(lines) + "\n"
-
-
-def group_folds(groups: Sequence[str], folds: int,
-                seed: int) -> list[list[int]]:
-    """Whole groups assigned to folds, largest first onto the lightest
-    fold, after a seeded shuffle of equal-size orderings."""
-    rng = np.random.default_rng(seed)
-    names = sorted(set(groups))
-    rng.shuffle(names)
-    by_size = sorted(names, key=lambda g: -sum(1 for x in groups
-                                               if x == g))
-    assignment: list[list[int]] = [[] for _ in range(folds)]
-    sizes = [0] * folds
-    for name in by_size:
-        members = [i for i, g in enumerate(groups) if g == name]
-        target = min(range(folds), key=lambda f: (sizes[f], f))
-        assignment[target].extend(members)
-        sizes[target] += len(members)
-    return [sorted(f) for f in assignment]
-
-
 def evaluate(model: PipelineModel, records: Sequence[ManifestRecord],
-             folds: int, seed: int = 0) -> MetricsReport:
+             folds: int, seed: int = 0) -> classifier.MetricsReport:
     """Cross-validate the classifier stage over a dataset's features.
 
     Features are extracted with the model's preprocessing/geometry and
-    projected through its PCA basis; each fold retrains an SVM with the
-    model's hyperparameters. When subject groups are present, folds are
-    group-aware: no subject appears in both train and test.
+    projected through its PCA basis; classifier.cross_validate then
+    retrains an SVM per fold with the model's C and kernel. Folds train
+    with svm_train's default tol and max_passes, not the configured ones:
+    PIPE1 stores neither. When every frame names a subject group, folds
+    are group-aware: no subject appears in both train and test.
     """
     x, y, groups, _ = extract_features(records, model.geometry,
                                        model.preprocess, model.cascade,
                                        model.scan)
-    n = len(y)
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    if n < folds:
-        raise TooFewSamples(f"{n} samples cannot fill {folds} folds")
-    if np.all(y == 1) or np.all(y == -1):
-        raise SingleClass("evaluation data contains a single class")
-    z = features.pca_project_many(model.pca, x)
-    named = [g for g in groups if g]
-    if len(set(named)) > 1 and len(named) == n and len(set(named)) >= folds:
-        fold_indices = group_folds(groups, folds, seed)
-    else:
-        fold_indices = classifier.stratified_folds(y, folds, seed)
-    report = classifier.run_folds(z, y, fold_indices, C=model.svm.C,
-                                  kernel=model.svm.kernel)
-    total = report.tp + report.fp + report.tn + report.fn
-    accuracy = (report.tp + report.tn) / total
-    precision = report.tp / (report.tp + report.fp) \
-        if report.tp + report.fp else None
-    recall = report.tp / (report.tp + report.fn) \
-        if report.tp + report.fn else None
-    return MetricsReport(accuracy=accuracy, precision=precision,
-                         recall=recall, tp=report.tp, fp=report.fp,
-                         tn=report.tn, fn=report.fn,
-                         fold_accuracies=report.fold_accuracies,
-                         mean_fold_accuracy=report.mean_accuracy,
-                         fold_test_indices=report.fold_test_indices)
+    return classifier.cross_validate(
+        features.pca_project_many(model.pca, x), y, folds, C=model.svm.C,
+        kernel=model.svm.kernel, seed=seed, groups=groups)
 
 
 def onset_latency(trace: StreamTrace, onset_tick: int) -> float | None:

@@ -14,7 +14,6 @@ from fatiguedet.classifier import (
     kernel_matrix,
     load_svm,
     save_svm,
-    stratified_folds,
     svm_decision,
     svm_decision_many,
     svm_predict,
@@ -274,7 +273,7 @@ class TestCrossValidate:
                             base[1] + rng.normal(0, 0.1, size=(10, 2))])
         y = np.array([1] * 10 + [-1] * 10)
         report = cross_validate(x, y, folds=4, C=1.0, kernel=LINEAR, seed=3)
-        assert report.mean_accuracy == 1.0
+        assert report.mean_fold_accuracy == 1.0
         assert report.tp + report.fp + report.tn + report.fn == 20
 
     @given(st.integers(4, 30), st.integers(2, 6), st.integers(0, 99))
@@ -284,13 +283,15 @@ class TestCrossValidate:
         n = len(y)
         if n < folds:
             return
-        fold_sizes = [len(f) for f in stratified_folds(y, folds, seed)]
+        report = cross_validate(y[:, None], y, folds=folds, kernel=LINEAR,
+                                seed=seed)
+        fold_sizes = [len(f) for f in report.fold_test_indices]
         assert sum(fold_sizes) == n
         assert set(fold_sizes) <= {n // folds, n // folds + 1}
         # per-class sizes also differ by at most one
         for label, count in ((1, n_pos), (-1, n_neg)):
             sizes = [sum(1 for i in f if y[i] == label)
-                     for f in stratified_folds(y, folds, seed)]
+                     for f in report.fold_test_indices]
             assert set(sizes) <= {count // folds, count // folds + 1}
 
     def test_each_sample_tested_once(self, rng):

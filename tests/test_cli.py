@@ -130,11 +130,19 @@ class TestExitCodes:
         pytest.param("--stage-rounds", v, id=v)
         for v in ("a,b", "3,", "4,0", "-2")] + [
         ("--feature-step", "0"), ("--n-frames", "0"),
-        ("--target-rate", "0"), ("--target-rate", "1.5")])
+        ("--target-rate", "0"), ("--target-rate", "1.5")] + [
+        ("--folds", v) for v in ("1", "0", "-2")])
     def test_bad_stage_rounds_is_usage_error(self, workdir, flag, value,
                                              capsys):
         out = workdir / "never.txt"
-        assert main(["detect-train", "--out", str(out), flag, value]) == 1
+        if flag == "--folds":
+            argv = ["eval", "--manifest",
+                    str(workdir / "data" / "manifest.csv"), "--model",
+                    str(workdir / "models" / "model.pipe1"), "--json-out",
+                    str(out)]
+        else:
+            argv = ["detect-train", "--out", str(out)]
+        assert main(argv + [flag, value]) == 1
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
@@ -228,6 +236,40 @@ class TestExitCodes:
                          str(workdir / "data" / "manifest.csv"), "--model",
                          str(model)]) == 3
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, code", [
+        ("--manifest", 2), ("--config", 2), ("--model", 3),
+        ("--detector", 3)])
+    def test_undecodable_file_is_typed_error(self, workdir, tmp_path, flag,
+                                             code, capsys):
+        manifest = workdir / "data" / "manifest.csv"
+        text = {"--manifest": manifest.read_bytes(),
+                "--config": b"clahe_tiles = 8\nseed = 1\n",
+                "--model": (workdir / "models" / "model.pipe1").read_bytes(),
+                "--detector": b"CASCADE1 24 24 1\nSTAGE 1 0.5\n"}[flag]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(text[:12] + b"\xff" + text[12:])
+        never = tmp_path / "never"
+        if flag == "--model":
+            argv = ["eval", "--manifest", str(manifest), "--model", str(bad)]
+        elif flag == "--manifest":
+            argv = ["train", "--manifest", str(bad), "--out-dir", str(never)]
+        else:
+            argv = ["train", "--manifest", str(manifest), "--out-dir",
+                    str(never), flag, str(bad)]
+        assert main(argv) == code
+        assert "is not text" in capsys.readouterr().err
+        assert not never.exists()
+
+    def test_nul_in_config_cascade_path_is_data_error(self, workdir,
+                                                      tmp_path, capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("cascade_path = cas\0cade.txt\n")
+        assert main(["train", "--manifest",
+                     str(workdir / "data" / "manifest.csv"), "--out-dir",
+                     str(tmp_path / "never"), "--config", str(cfg)]) == 2
+        assert "NUL byte" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
 
     def test_model_error(self, workdir):
         bad_model = workdir / "data" / "manifest.csv"  # not a PIPE1 file

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fatiguedet import fatigue
+from fatiguedet.classifier import group_folds
 from fatiguedet.detector import (
     Cascade,
     HaarFeature,
@@ -27,7 +29,7 @@ from fatiguedet.errors import (
 )
 from fatiguedet.fatigue import AlertConfig
 from fatiguedet.features import RoiGeometry
-from fatiguedet.imaging import PreprocessConfig, Rect
+from fatiguedet.imaging import Image, PreprocessConfig, Rect, save_pnm
 from fatiguedet.pipeline import (
     ManifestRecord,
     PipelineConfig,
@@ -35,7 +37,6 @@ from fatiguedet.pipeline import (
     evaluate,
     extract_features,
     fit_pipeline,
-    group_folds,
     infer_stream,
     ingest,
     load_pipeline,
@@ -45,7 +46,7 @@ from fatiguedet.pipeline import (
     render_config,
     save_pipeline,
 )
-from fatiguedet.synth import SyntheticSpec, write_dataset
+from fatiguedet.synth import BACKGROUND, SyntheticSpec, write_dataset
 
 CFG = PipelineConfig()
 
@@ -377,6 +378,26 @@ class TestInferStream:
             "TICK 2 4 High HighAlert(0.5,0)\n"
             "LABEL 2 +1\n")
 
+    def test_labels_match_batch_detector_off(self, dataset, model):
+        records = dataset[:40]
+        stream = infer_stream(model, [r.load_image() for r in records],
+                              boxes=[r.box for r in records])
+        assert stream.skipped == 0
+        assert stream.labels == pipeline_predict(model, records).tolist()
+
+    def test_labels_match_batch_detector_on(self, dataset, model,
+                                            face_cascade, tmp_path):
+        # a faceless frame, which the cascade skips, sits among the faces
+        blank = tmp_path / "blank.pgm"
+        blank.write_bytes(save_pnm(Image.from_array(
+            np.full((160, 160), BACKGROUND, dtype=np.uint8))))
+        records = dataset[:20] + [ManifestRecord(blank, -1)] + dataset[20:40]
+        detecting = replace(model, cascade=face_cascade)
+        stream = infer_stream(detecting, [r.load_image() for r in records])
+        assert stream.labels[20] is None
+        kept = [label for label in stream.labels if label is not None]
+        assert kept == pipeline_predict(detecting, records).tolist()
+
     def test_alert_unit_runs_per_frame(self, dataset, model, monkeypatch):
         # the alert step for frame i returns before frame i + 1 is pulled
         log = []
@@ -428,6 +449,12 @@ class TestEvaluate:
     def test_too_few_samples(self, dataset, model):
         with pytest.raises(TooFewSamples):
             evaluate(model, dataset[:3], folds=4)
+
+    def test_one_sample_of_a_class_is_too_few(self, dataset, model):
+        alert = [r for r in dataset if r.label == -1][:9]
+        tired = next(r for r in dataset if r.label == 1)
+        with pytest.raises(TooFewSamples, match="2 samples per class"):
+            evaluate(model, alert + [tired], folds=2)
 
     def test_group_folds_balanced(self):
         groups = [f"s{i % 7}" for i in range(70)]
