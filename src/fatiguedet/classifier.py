@@ -1,5 +1,7 @@
-"""Soft-margin SVM trained by sequential minimal optimization, with kernel
-evaluation, prediction, and the one cross-validation runner:
+"""Soft-margin SVM trained by sequential minimal optimization on maximal
+violating pairs (second-order choice of the second index, stop on the
+gradient gap, at most max_passes * n steps), with kernel evaluation,
+prediction, and the one cross-validation runner:
 `cross_validate` checks its inputs, assigns group-aware or seeded
 stratified folds, trains and tests an SVM per fold, and returns a
 MetricsReport.
@@ -102,29 +104,13 @@ def dual_objective(x: np.ndarray, y: np.ndarray, alpha: np.ndarray,
     return float(alpha.sum() - 0.5 * ay @ k @ ay)
 
 
-def _bias_from_state(alpha: np.ndarray, y: np.ndarray, g: np.ndarray,
-                     c: float) -> float:
-    """Average over free support vectors; midpoint of the KKT interval
-    when every multiplier sits on a box bound."""
-    free = (alpha > _SV_EPS) & (alpha < c - _SV_EPS)
+def _bias(v: np.ndarray, up: np.ndarray, low: np.ndarray) -> float:
+    """Mean of -yG over the free vectors (those in both index sets), or
+    the midpoint of [M, m] when every multiplier sits on a box bound."""
+    free = up & low
     if np.any(free):
-        return float(np.mean(y[free] - g[free]))
-    lo, hi = -np.inf, np.inf
-    for i in range(len(alpha)):
-        bound = y[i] - g[i]
-        at_lower = alpha[i] <= _SV_EPS
-        # y(g+b) >= 1 at alpha=0; y(g+b) <= 1 at alpha=C
-        if (y[i] > 0) == at_lower:
-            lo = max(lo, bound)
-        else:
-            hi = min(hi, bound)
-    if not np.isfinite(lo):
-        lo = hi
-    if not np.isfinite(hi):
-        hi = lo
-    if not np.isfinite(lo):
-        return 0.0
-    return float((lo + hi) / 2.0)
+        return float(np.mean(v[free]))
+    return float((np.max(v[up]) + np.min(v[low])) / 2.0)
 
 
 def svm_train(x: np.ndarray, y: Sequence[int], C: float = 1.0,
@@ -132,13 +118,18 @@ def svm_train(x: np.ndarray, y: Sequence[int], C: float = 1.0,
               max_passes: int = 200,
               on_step: Callable[[np.ndarray, float], None] | None = None,
               ) -> SvmModel:
-    """Solve the soft-margin dual with SMO.
+    """Solve the soft-margin dual with SMO on maximal violating pairs.
 
-    Each outer pass scans every index; a KKT violator i is paired with the
-    j maximizing |E_i - E_j| (falling back to a sequential scan when that
-    pair makes no progress). The bias is recomputed from free support
-    vectors after every successful step. Training stops when a full pass
-    makes no update, or after max_passes passes (logged as a warning).
+    The solver keeps the dual gradient G = Q alpha - e, with Q = yy^T K.
+    Each step optimizes one pair: i maximizes -yG over the indices whose
+    y alpha may grow, and j, among those whose y alpha may shrink, gives
+    the largest second-order gain (Keerthi et al. 2001; Fan, Chen & Lin
+    2005). Ties go to the first index. Training stops when the gap m - M,
+    the largest -yG that may grow minus the smallest that may shrink, is
+    at most tol, or after max_passes * n steps (logged as a warning). The
+    bias is the mean of -yG over the free vectors, or the midpoint of
+    [M, m] when none is free; on_step gets alpha and that bias after every
+    step.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -163,66 +154,47 @@ def svm_train(x: np.ndarray, y: Sequence[int], C: float = 1.0,
     else:
         def krow(i: int) -> np.ndarray:
             return kernel_matrix(kernel, x[i:i + 1], x)[0]
+    # K(x_t, x_t) without the n x n matrix
+    diag = (x * x).sum(axis=1) if kernel.kind == "linear" else np.ones(n)
 
     alpha = np.zeros(n)
-    g = np.zeros(n)  # sum_j alpha_j y_j K(x_j, x_i), bias excluded
-    b = 0.0
-
-    def try_pair(i: int, j: int, e_i: float) -> bool:
-        nonlocal b, g
-        if i == j:
-            return False
-        ki, kj = krow(i), krow(j)
-        e_j = g[j] + b - y[j]
-        if y[i] != y[j]:
-            lo = max(0.0, alpha[j] - alpha[i])
-            hi = min(C, C + alpha[j] - alpha[i])
-        else:
-            lo = max(0.0, alpha[i] + alpha[j] - C)
-            hi = min(C, alpha[i] + alpha[j])
-        if lo >= hi:
-            return False
-        eta = ki[i] + kj[j] - 2.0 * ki[j]
-        if eta <= 0:
-            return False
-        aj_new = float(np.clip(alpha[j] + y[j] * (e_i - e_j) / eta, lo, hi))
-        d_j = aj_new - alpha[j]
-        if abs(d_j) < 1e-12:
-            return False
-        d_i = -y[i] * y[j] * d_j
-        alpha[i] = float(np.clip(alpha[i] + d_i, 0.0, C))
-        alpha[j] = aj_new
-        g += d_i * y[i] * ki + d_j * y[j] * kj
-        b = _bias_from_state(alpha, y, g, C)
+    g = -np.ones(n)  # G = Q alpha - e
+    steps = 0
+    while True:
+        v = -y * g
+        up = np.where(y > 0, alpha < C, alpha > 0)  # y alpha may grow
+        low = np.where(y > 0, alpha > 0, alpha < C)  # y alpha may shrink
+        i = int(np.argmax(np.where(up, v, -np.inf)))
+        gap = v[i] - np.min(v[low])
+        if steps and on_step is not None:
+            on_step(alpha.copy(), _bias(v, up, low))
+        if gap <= tol:
+            break
+        if steps >= max_passes * n:
+            logger.warning("SMO stopped after max_passes=%d passes (%d "
+                           "steps) without converging", max_passes, steps)
+            break
+        steps += 1
+        ki = krow(i)
+        viol = v[i] - v  # > 0 where the pair (i, t) violates the KKT rule
+        curv = np.maximum(diag[i] + diag - 2.0 * ki, 1e-12)
+        j = int(np.argmax(np.where(low & (viol > 0), viol * viol / curv,
+                                   -np.inf)))
+        room_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        room_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        lam = min(viol[j] / curv[j], room_i, room_j)
+        a_i = alpha[i] + y[i] * lam
+        a_j = alpha[j] - y[j] * lam
+        if lam == room_i:  # land exactly on the bound
+            a_i = C if y[i] > 0 else 0.0
+        if lam == room_j:
+            a_j = 0.0 if y[j] > 0 else C
+        g += y * ((a_i - alpha[i]) * y[i] * ki
+                  + (a_j - alpha[j]) * y[j] * krow(j))
+        alpha[i], alpha[j] = a_i, a_j
         assert np.all(alpha >= -1e-12) and np.all(alpha <= C + 1e-9)
         assert abs(float(alpha @ y)) <= 1e-6
-        if on_step is not None:
-            on_step(alpha.copy(), b)
-        return True
-
-    for _ in range(max_passes):
-        changed = 0
-        for i in range(n):
-            e_i = float(g[i] + b - y[i])
-            r_i = y[i] * e_i
-            violating = (r_i < -tol and alpha[i] < C) or \
-                        (r_i > tol and alpha[i] > 0)
-            if not violating:
-                continue
-            errors = g + b - y
-            j = int(np.argmax(np.abs(e_i - errors)))
-            if try_pair(i, j, e_i):
-                changed += 1
-                continue
-            for j in range(n):
-                if try_pair(i, j, e_i):
-                    changed += 1
-                    break
-        if changed == 0:
-            break
-    else:
-        logger.warning("SMO stopped after max_passes=%d passes without "
-                       "converging", max_passes)
+    b = _bias(v, up, low)
 
     sv = alpha > _SV_EPS
     if not np.any(sv):
@@ -277,7 +249,6 @@ class MetricsReport:
     fold_accuracies: list[float]
     mean_fold_accuracy: float
     fold_test_indices: list[list[int]]
-    mean_detection_latency_ticks: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -288,15 +259,13 @@ class MetricsReport:
                           "fn": self.fn},
             "fold_accuracies": self.fold_accuracies,
             "mean_fold_accuracy": self.mean_fold_accuracy,
-            "mean_detection_latency_ticks":
-                self.mean_detection_latency_ticks,
         }
 
     def to_text(self) -> str:
         def opt(v):
             return "n/a" if v is None else f"{v:.4f}"
 
-        lines = [
+        return "\n".join([
             f"accuracy  {self.accuracy:.4f}",
             f"precision {opt(self.precision)}",
             f"recall    {opt(self.recall)}",
@@ -305,11 +274,7 @@ class MetricsReport:
             "folds     " + " ".join(f"{a:.4f}"
                                     for a in self.fold_accuracies),
             f"mean fold {self.mean_fold_accuracy:.4f}",
-        ]
-        if self.mean_detection_latency_ticks is not None:
-            lines.append(
-                f"latency   {self.mean_detection_latency_ticks:.2f} ticks")
-        return "\n".join(lines) + "\n"
+        ]) + "\n"
 
 
 def stratified_folds(y: np.ndarray, folds: int,

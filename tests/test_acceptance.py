@@ -4,6 +4,7 @@ pass/fail line and enforcing its stated tolerance and time budget.
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import logging
 import math
 import time
 from contextlib import contextmanager
@@ -221,14 +222,18 @@ def test_c08_end_to_end_desk_scale(desk_datasets):
         assert float(np.mean(preds == truth)) >= 0.90
 
 
-def test_c09_cli_determinism(desk_datasets, tmp_path):
+def test_c09_cli_determinism(desk_datasets, tmp_path, caplog):
     train_manifest, _ = desk_datasets
     with criterion(9, "train-simulate-determinism", 180.0):
         outputs = []
         for run in ("a", "b"):
             out = tmp_path / run
-            assert main(["train", "--manifest", str(train_manifest),
-                         "--out-dir", str(out), "--seed", "7"]) == 0
+            with caplog.at_level(logging.WARNING, "fatiguedet.classifier"):
+                assert main(["train", "--manifest", str(train_manifest),
+                             "--out-dir", str(out), "--seed", "7"]) == 0
+            # SMO converges on the desk set instead of hitting its cap
+            assert not [r for r in caplog.records
+                        if "SMO stopped" in r.getMessage()]
             trace = out / "trace.txt"
             assert main(["simulate", "--manifest", str(train_manifest),
                          "--model", str(out / "model.pipe1"), "--out",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fatiguedet import classifier
 from fatiguedet.classifier import (
     KernelSpec,
     SvmModel,
@@ -157,6 +158,29 @@ class TestDualOptimality:
             assert abs(float(alpha @ y)) <= 1e-6
 
         svm_train(x, y, C=1.0, kernel=LINEAR, on_step=hook)
+
+
+class TestUncachedKernel:
+    @pytest.mark.parametrize("kernel", [LINEAR, KernelSpec("rbf", 0.5)])
+    def test_row_path_matches_cached_path(self, rng, monkeypatch, kernel):
+        x, y = separable_set(rng, n=36, k=3)
+        y[:3] = -y[:3]  # mislabeled points, so multipliers can reach C
+        cached = svm_train(x, y, C=5.0, kernel=kernel)
+        shapes = []
+
+        def rows_only(kern, a, b):
+            shapes.append((len(a), len(b)))
+            return kernel_matrix(kern, a, b)
+
+        monkeypatch.setattr(classifier, "_KERNEL_CACHE_LIMIT", 10)
+        monkeypatch.setattr(classifier, "kernel_matrix", rows_only)
+        uncached = svm_train(x, y, C=5.0, kernel=kernel)
+        assert shapes and all(rows == 1 for rows, _ in shapes)
+        monkeypatch.undo()
+        assert kkt_violation(uncached, x, y, 1e-3) <= 1e-6
+        assert np.array_equal(
+            decision_labels(svm_decision_many(uncached, x)),
+            decision_labels(svm_decision_many(cached, x)))
 
 
 class TestDecision:
