@@ -7,9 +7,12 @@ then runs `train --seed 7`, `simulate`, `simulate --t-low 3 --water-spray` and
 detector end to end:
 `detect-train --n-frames 60 --stage-rounds 3,8 --feature-step 3 --seed 7`,
 `train --seed 7 --detector` with that cascade on the same set, and
-`simulate` with the resulting PIPE1. Two commits whose printed digests
-agree write byte-identical model, cascade, trace and cross-validation
-report files, which is how a refactor or a scan change shows that it
+`simulate` with the resulting PIPE1. Last it prints the sha256 of the
+training feature values: `feature_value_matrix` over the windows that
+`detect-train --n-frames 60 --seed 7` trains on and `feature_grid(24, 24,
+3)`. Two commits whose printed digests agree write byte-identical model,
+cascade, trace and cross-validation report files and compute the same
+training values, which is how a refactor or a scan change shows that it
 changed no output.
 
     PYTHONPATH=src python3 scripts/model_digests.py
@@ -22,7 +25,9 @@ import tempfile
 from pathlib import Path
 
 from fatiguedet.cli import main as cli_main
-from fatiguedet.synth import SyntheticSpec, write_dataset
+from fatiguedet.detector import feature_grid, feature_value_matrix
+from fatiguedet.synth import SyntheticSpec, detector_windows, generate, \
+    write_dataset
 
 FILES = ("model.pca1", "model.svm1", "model.pipe1", "trace.txt",
          "trace_spray.txt", "cascade.txt", "detector/model.pipe1",
@@ -34,6 +39,17 @@ def _run(argv: list[str]) -> None:
         code = cli_main(argv)
     if code != 0:
         raise SystemExit(f"fatiguedet {argv[0]} exited {code}")
+
+
+def feature_values_digest() -> str:
+    """sha256 of the feature values `detect-train --n-frames 60
+    --feature-step 3 --seed 7` starts from: its positive and negative
+    windows against the whole step-3 pool."""
+    records = generate(SyntheticSpec(n_frames=60, fraction_fatigued=0.5,
+                                     seed=7))
+    pos, neg = detector_windows(records, seed=8)
+    values = feature_value_matrix(pos + neg, feature_grid(24, 24, 3), 24, 24)
+    return hashlib.sha256(values.tobytes()).hexdigest()
 
 
 def main() -> int:
@@ -65,6 +81,7 @@ def main() -> int:
         for name in FILES:
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             print(f"{digest}  {name}")
+    print(f"{feature_values_digest()}  feature_values")
     return 0
 
 

@@ -4,14 +4,15 @@ sliding-window scanning, and the CASCADE1 text format.
 
 Feature values are variance-normalized by the window's pixel standard
 deviation (floored at 1), the standard guard against lighting changes.
-One scorer computes them from integer sub-rect sums, for the windows of a
-frame scanned by `detect` and for the stacked base-size windows of training
-alike; only the corner reads differ. `detect` compiles the cascade once per
-scale and integral-image row stride into flat corner offsets and reads all
-corners of a stage with one `take`. The corner reads index the integral
-image without bounds checks, so they need every window inside the image
-(`detect` only scans such windows) and every feature rect inside the base
-window (`load_cascade` rejects any other).
+One table of flat corner offsets (`y * stride + x`) per feature set, scale
+and integral-image row stride serves the scan and training alike, and one
+scorer turns the corner reads into feature values. `detect` compiles the
+cascade once per scale and frame stride and reads all corners of a stage
+with one `take` per window origin; training stacks its base-size windows on
+the last axis and reads a row of windows per offset. The corner reads
+index the integral image without bounds checks, so they need every window
+inside the image (`detect` only scans such windows) and every feature rect
+inside the base window (`load_cascade` rejects any other).
 """
 
 from __future__ import annotations
@@ -28,7 +29,16 @@ from .imaging import Image, IntegralImage, Rect, integral_image, iround
 from .textmodel import ModelText, count, finite, finite_or_inf, \
     format_floats, render
 
-KINDS = ("2H", "2V", "3H", "3V", "4")
+# kind -> (columns, rows, weights row by row): the rect is cut into
+# columns x rows equal cells, so its sides must divide by them
+_KIND_CELLS = {
+    "2H": (2, 1, (1, -1)),
+    "2V": (1, 2, (1, -1)),
+    "3H": (3, 1, (-1, 2, -1)),
+    "3V": (1, 3, (-1, 2, -1)),
+    "4": (2, 2, (1, -1, -1, 1)),
+}
+KINDS = tuple(_KIND_CELLS)
 
 
 @dataclass(frozen=True)
@@ -44,44 +54,24 @@ class HaarFeature:
     rect: Rect
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _KIND_CELLS:
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        r = self.rect
-        if self.kind == "2H" and r.w % 2:
-            raise ValueError("2H needs width divisible by 2")
-        if self.kind == "2V" and r.h % 2:
-            raise ValueError("2V needs height divisible by 2")
-        if self.kind == "3H" and r.w % 3:
-            raise ValueError("3H needs width divisible by 3")
-        if self.kind == "3V" and r.h % 3:
-            raise ValueError("3V needs height divisible by 3")
-        if self.kind == "4" and (r.w % 2 or r.h % 2):
-            raise ValueError("4 needs width and height divisible by 2")
+        cols, rows, _ = _KIND_CELLS[self.kind]
+        if self.rect.w % cols or self.rect.h % rows:
+            raise ValueError(f"{self.kind} needs width divisible by {cols} "
+                             f"and height by {rows}")
 
     def sub_rects(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """(x1, y1, x2, y2, weight) corner tuples; weighted areas sum to 0."""
+        """(x1, y1, x2, y2, weight) of the kind's cells, row by row;
+        weighted areas sum to 0."""
+        cols, rows, weights = _KIND_CELLS[self.kind]
         r = self.rect
-        x1, y1, x2, y2 = r.x, r.y, r.x2, r.y2
-        if self.kind == "2H":
-            xm = x1 + r.w // 2
-            return ((x1, y1, xm, y2, 1), (xm, y1, x2, y2, -1))
-        if self.kind == "2V":
-            ym = y1 + r.h // 2
-            return ((x1, y1, x2, ym, 1), (x1, ym, x2, y2, -1))
-        if self.kind == "3H":
-            xa = x1 + r.w // 3
-            xb = x1 + 2 * r.w // 3
-            return ((x1, y1, xa, y2, -1), (xa, y1, xb, y2, 2),
-                    (xb, y1, x2, y2, -1))
-        if self.kind == "3V":
-            ya = y1 + r.h // 3
-            yb = y1 + 2 * r.h // 3
-            return ((x1, y1, x2, ya, -1), (x1, ya, x2, yb, 2),
-                    (x1, yb, x2, y2, -1))
-        xm = x1 + r.w // 2
-        ym = y1 + r.h // 2
-        return ((x1, y1, xm, ym, 1), (xm, y1, x2, ym, -1),
-                (x1, ym, xm, y2, -1), (xm, ym, x2, y2, 1))
+        cw, ch = r.w // cols, r.h // rows
+        cells = []
+        for k, wgt in enumerate(weights):
+            x, y = r.x + k % cols * cw, r.y + k // cols * ch
+            cells.append((x, y, x + cw, y + ch, wgt))
+        return tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -176,48 +166,57 @@ def _scale_sub_rects(feature: HaarFeature, scale: float):
 
 @dataclass(frozen=True, eq=False)
 class _FeatureTable:
-    """The sub-rects of some features at one scale, one row per sub-rect in
-    the order the scorer adds them: the first sub-rect of every feature,
-    then every second one, then the third of each feature in `third`
-    (3H, 3V, 4), then the fourth of each feature in `fourth` (4)."""
+    """The sub-rects of some features at one scale and integral-image row
+    stride, one row per sub-rect in the order the scorer adds them: the
+    first sub-rect of every feature, then every second one, then the third
+    of each feature in `third` (3H, 3V, 4), then the fourth of each feature
+    in `fourth` (4)."""
 
     n: int  # features
-    corners: np.ndarray  # (4, rows) ints: x1, y1, x2, y2
+    offsets: np.ndarray  # (4 * rows,) flat corners in _flat_offsets order
     actual: np.ndarray  # (rows, 1) scaled areas
     coeff: np.ndarray  # (rows, 1) weight * ideal area
     third: np.ndarray
     fourth: np.ndarray
 
 
-def _feature_table(features: Sequence[HaarFeature],
-                   scale: float) -> _FeatureTable:
+def _flat_offsets(rects, stride: int) -> np.ndarray:
+    """Flat corner offsets of rects given as (x1, y1, x2, y2, ...) rows, in
+    four blocks: x2y2, x2y1, x1y2, x1y1."""
+    x1, y1, x2, y2 = np.array([r[:4] for r in rects], dtype=np.intp).T
+    return np.concatenate([y2 * stride + x2, y1 * stride + x2,
+                           y2 * stride + x1, y1 * stride + x1])
+
+
+def _feature_table(features: Sequence[HaarFeature], scale: float,
+                   stride: int) -> _FeatureTable:
     subs = [_scale_sub_rects(f, scale) for f in features]
     third = [i for i, s in enumerate(subs) if len(s) > 2]
     fourth = [i for i, s in enumerate(subs) if len(s) > 3]
     rows = ([s[0] for s in subs] + [s[1] for s in subs]
             + [subs[i][2] for i in third] + [subs[i][3] for i in fourth])
     return _FeatureTable(
-        len(subs), np.array([r[:4] for r in rows], dtype=np.intp).T,
+        len(subs), _flat_offsets(rows, stride),
         np.array([[r[4]] for r in rows]), np.array([[r[5]] for r in rows]),
         np.array(third, dtype=np.intp), np.array(fourth, dtype=np.intp))
 
 
-def _gather(sums: np.ndarray, x1, y1, x2, y2):
-    """Rectangle sums over window integral images stacked on the last axis,
-    (h + 1, w + 1, n): one row of n per rect when the corners are arrays."""
-    rows = sums.reshape(-1, sums.shape[-1])
-    stride = sums.shape[1]
-    out = rows[y2 * stride + x2] - rows[y1 * stride + x2]
-    out -= rows[y2 * stride + x1]
-    out += rows[y1 * stride + x1]
+def _rect_sums(corners: np.ndarray) -> np.ndarray:
+    """Rect sums from the corners read at _flat_offsets, one row per rect
+    and one column per window."""
+    c = corners.reshape(4, -1, corners.shape[-1])
+    out = c[0] - c[1]
+    out -= c[2]
+    out += c[3]
     return out
 
 
-def _window_divisor(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray:
-    """max(pixel standard deviation, 1) from the pixel sums s1 and the
-    squared-pixel sums s2 of windows of n pixels."""
-    mean = s1.astype(np.float64) / n
-    var = s2.astype(np.float64) / n - mean * mean
+def _window_divisor(c1: np.ndarray, c2: np.ndarray, n: int) -> np.ndarray:
+    """max(pixel standard deviation, 1) of windows of n pixels, from the
+    corners c1 of their pixel sums and c2 of their squared-pixel sums read
+    at the window's _flat_offsets."""
+    mean = _rect_sums(c1)[0].astype(np.float64) / n
+    var = _rect_sums(c2)[0].astype(np.float64) / n - mean * mean
     return np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)
 
 
@@ -410,22 +409,13 @@ def feature_grid(base_w: int = 24, base_h: int = 24,
                  step: int = 2) -> list[HaarFeature]:
     """Coarse feature pool: all kinds, positions and sizes in `step` px."""
     pool: list[HaarFeature] = []
-    for kind in KINDS:
+    for kind, (cols, rows, _) in _KIND_CELLS.items():
         for y in range(0, base_h, step):
             for x in range(0, base_w, step):
                 for h in range(step, base_h - y + 1, step):
                     for w in range(step, base_w - x + 1, step):
-                        if kind == "2H" and w % 2:
-                            continue
-                        if kind == "2V" and h % 2:
-                            continue
-                        if kind == "3H" and w % 3:
-                            continue
-                        if kind == "3V" and h % 3:
-                            continue
-                        if kind == "4" and (w % 2 or h % 2):
-                            continue
-                        pool.append(HaarFeature(kind, Rect(x, y, w, h)))
+                        if w % cols == 0 and h % rows == 0:
+                            pool.append(HaarFeature(kind, Rect(x, y, w, h)))
     return pool
 
 
@@ -438,16 +428,18 @@ def feature_value_matrix(windows: Sequence[IntegralImage],
             raise ValueError(
                 f"window is {ii.width}x{ii.height}, expected "
                 f"{base_w}x{base_h}")
-    sums = np.stack([ii.sums for ii in windows], axis=-1)
-    squares = np.stack([ii.squares for ii in windows], axis=-1)
-    div = _window_divisor(_gather(sums, 0, 0, base_w, base_h),
-                          _gather(squares, 0, 0, base_w, base_h),
-                          base_w * base_h)
-    out = np.empty((len(windows), len(features)))
+    # one row of windows per flat offset
+    n = len(windows)
+    sums = np.stack([ii.sums for ii in windows], axis=-1).reshape(-1, n)
+    squares = np.stack([ii.squares for ii in windows], axis=-1).reshape(-1, n)
+    stride = base_w + 1
+    window = _flat_offsets([(0, 0, base_w, base_h)], stride)
+    div = _window_divisor(sums[window], squares[window], base_w * base_h)
+    out = np.empty((n, len(features)))
     for lo in range(0, len(features), _CHUNK):
-        table = _feature_table(features[lo:lo + _CHUNK], 1.0)
+        table = _feature_table(features[lo:lo + _CHUNK], 1.0, stride)
         out[:, lo:lo + table.n] = _feature_values(
-            _gather(sums, *table.corners), table, div).T
+            _rect_sums(sums[table.offsets]), table, div).T
     return out
 
 
@@ -537,33 +529,24 @@ def train_cascade(positives: Sequence[IntegralImage],
 @dataclass(frozen=True, eq=False)
 class _ScanLevel:
     """A cascade compiled for one scale and integral-image row stride: the
-    flat corner offsets of the window and of each stage's sub-rects, as four
-    blocks in _gather's order (x2y2, x2y1, x1y2, x1y1), and each stage's
-    feature table."""
+    flat corner offsets of the window and each stage's feature table."""
 
     scale: float
     win_w: int
     win_h: int
     window: np.ndarray
-    stages: tuple[tuple[Stage, _FeatureTable, np.ndarray], ...]
-
-
-def _flat_offsets(corners: np.ndarray, stride: int) -> np.ndarray:
-    x1, y1, x2, y2 = corners
-    return np.concatenate([y2 * stride + x2, y1 * stride + x2,
-                           y2 * stride + x1, y1 * stride + x1])
+    stages: tuple[tuple[Stage, _FeatureTable], ...]
 
 
 def _scan_level(cascade: Cascade, scale: float, stride: int) -> _ScanLevel:
     win_w = iround(cascade.base_w * scale)
     win_h = iround(cascade.base_h * scale)
-    stages = []
-    for stage in cascade.stages:
-        table = _feature_table([weak.feature for weak, _ in stage.weak],
-                               scale)
-        stages.append((stage, table, _flat_offsets(table.corners, stride)))
-    window = _flat_offsets(np.array([[0], [0], [win_w], [win_h]]), stride)
-    return _ScanLevel(scale, win_w, win_h, window, tuple(stages))
+    stages = tuple(
+        (stage, _feature_table([weak.feature for weak, _ in stage.weak],
+                               scale, stride))
+        for stage in cascade.stages)
+    return _ScanLevel(scale, win_w, win_h,
+                      _flat_offsets([(0, 0, win_w, win_h)], stride), stages)
 
 
 @functools.lru_cache(maxsize=8)
@@ -588,17 +571,6 @@ def _scan_plan(cascade: Cascade, width: int, height: int,
         scale *= scale_factor
 
 
-def _flat_rect_sums(flat: np.ndarray, offsets: np.ndarray,
-                    base: np.ndarray) -> np.ndarray:
-    """Sums of the rects whose corners are offsets, one row per rect and one
-    column per window at the flat origins base, in one read."""
-    corners = flat.take(offsets[:, None] + base).reshape(4, -1, len(base))
-    out = corners[0] - corners[1]
-    out -= corners[2]
-    out += corners[3]
-    return out
-
-
 def _scaled_divisor(ii: IntegralImage, level: _ScanLevel,
                     base: np.ndarray) -> np.ndarray:
     """scale^2 * max(pixel standard deviation, 1) per window.
@@ -607,10 +579,10 @@ def _scaled_divisor(ii: IntegralImage, level: _ScanLevel,
     from any scale into base window units, so stump thresholds transfer
     across scales.
     """
-    s1 = _flat_rect_sums(ii.sums.ravel(), level.window, base)[0]
-    s2 = _flat_rect_sums(ii.squares.ravel(), level.window, base)[0]
+    at = level.window[:, None] + base
     return (level.scale * level.scale) * _window_divisor(
-        s1, s2, level.win_w * level.win_h)
+        ii.sums.ravel().take(at), ii.squares.ravel().take(at),
+        level.win_w * level.win_h)
 
 
 def _cascade_pass(ii: IntegralImage, level: _ScanLevel,
@@ -620,9 +592,9 @@ def _cascade_pass(ii: IntegralImage, level: _ScanLevel,
     sums = ii.sums.ravel()
     div = _scaled_divisor(ii, level, base)
     alive = np.arange(len(base))
-    for stage, table, offsets in level.stages:
-        values = _feature_values(_flat_rect_sums(sums, offsets, base[alive]),
-                                 table, div[alive])
+    for stage, table in level.stages:
+        corners = sums.take(table.offsets[:, None] + base[alive])
+        values = _feature_values(_rect_sums(corners), table, div[alive])
         alive = alive[stage_scores(stage, values.T) >= stage.threshold]
         if not len(alive):
             break

@@ -4,8 +4,9 @@ the PIPE1 composite model file.
 
 A fitted pipeline bundles the ROI geometry, preprocessing settings, an
 optional face-detection cascade with its scan settings, the PCA basis, and
-the SVM. Given identical inputs, config, and seed, training and inference
-are byte-reproducible.
+the SVM. Training and inference are byte-reproducible from the inputs and
+config: no step is random, so nothing reads the config `seed` key, which
+stays so that existing config files and `train --seed` still parse.
 """
 
 from __future__ import annotations

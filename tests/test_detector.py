@@ -41,6 +41,10 @@ def gray(arr):
     return Image.from_array(np.asarray(arr, dtype=np.uint8))
 
 
+# (x, y) size units of each kind: the rect sides must be multiples of them
+UNITS = {"2H": (2, 1), "2V": (1, 2), "3H": (3, 1), "3V": (1, 3), "4": (2, 2)}
+
+
 def any_feature(kind, x, y, w, h):
     # snap dims to the kind's divisibility requirement
     if kind in ("2H", "4"):
@@ -147,8 +151,9 @@ def scorer_value(ii, feature, origin, scale):
     cascade = Cascade(24, 24, (Stage(((stump, 1.0),), 0.0),))
     level = detector._scan_level(cascade, scale, ii.width + 1)
     base = origin_base(ii, origin)
-    _, table, offsets = level.stages[0]
-    rect_sums = detector._flat_rect_sums(ii.sums.ravel(), offsets, base)
+    _, table = level.stages[0]
+    rect_sums = detector._rect_sums(
+        ii.sums.ravel().take(table.offsets[:, None] + base))
     div = detector._scaled_divisor(ii, level, base)
     return float(detector._feature_values(rect_sums, table, div)[0, 0])
 
@@ -160,12 +165,57 @@ def passes(ii, cascade, origin, scale):
         == 1
 
 
+def random_feature(draw, kind, base_w, base_h):
+    """A feature of kind at a drawn size and place inside the base window."""
+    ux, uy = UNITS[kind]
+    w = ux * draw(st.integers(1, base_w // ux))
+    h = uy * draw(st.integers(1, base_h // uy))
+    return HaarFeature(kind, Rect(draw(st.integers(0, base_w - w)),
+                                  draw(st.integers(0, base_h - h)), w, h))
+
+
 class TestHaarFeature:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             HaarFeature("2H", Rect(0, 0, 5, 4))
         with pytest.raises(ValueError):
             HaarFeature("3V", Rect(0, 0, 6, 8))
+        for kind, (ux, uy) in UNITS.items():
+            HaarFeature(kind, Rect(0, 0, 4 * ux, 4 * uy))
+            for unit, (dw, dh) in ((ux, (1, 0)), (uy, (0, 1))):
+                for off in range(1, unit):
+                    with pytest.raises(ValueError):
+                        HaarFeature(kind, Rect(0, 0, 4 * ux + off * dw,
+                                               4 * uy + off * dh))
+
+    def test_sub_rects_golden(self):
+        rect = Rect(2, 3, 12, 6)
+        assert {kind: HaarFeature(kind, rect).sub_rects()
+                for kind in KINDS} == {
+            "2H": ((2, 3, 8, 9, 1), (8, 3, 14, 9, -1)),
+            "2V": ((2, 3, 14, 6, 1), (2, 6, 14, 9, -1)),
+            "3H": ((2, 3, 6, 9, -1), (6, 3, 10, 9, 2), (10, 3, 14, 9, -1)),
+            "3V": ((2, 3, 14, 5, -1), (2, 5, 14, 7, 2), (2, 7, 14, 9, -1)),
+            "4": ((2, 3, 8, 6, 1), (8, 3, 14, 6, -1), (2, 6, 8, 9, -1),
+                  (8, 6, 14, 9, 1)),
+        }
+
+    @pytest.mark.parametrize("base_w, base_h, step",
+                             [(12, 12, 1), (24, 24, 3), (13, 8, 1)])
+    def test_feature_grid_is_every_accepted_rect(self, base_w, base_h,
+                                                 step):
+        expected = []
+        for kind in KINDS:
+            for y in range(0, base_h, step):
+                for x in range(0, base_w, step):
+                    for h in range(step, base_h - y + 1, step):
+                        for w in range(step, base_w - x + 1, step):
+                            try:
+                                feat = HaarFeature(kind, Rect(x, y, w, h))
+                            except ValueError:
+                                continue
+                            expected.append(feat)
+        assert feature_grid(base_w, base_h, step) == expected
 
     @pytest.mark.parametrize("kind", ["2H", "2V", "3H", "3V", "4"])
     def test_weighted_areas_cancel(self, kind):
@@ -197,6 +247,25 @@ class TestHaarFeature:
 
 
 class TestEvalFeature:
+    @given(data=st.data())
+    def test_stacked_non_square_windows_match_scalar_reference(self, data):
+        base_w, base_h = data.draw(st.integers(6, 12)), \
+            data.draw(st.integers(6, 12))
+        kinds = data.draw(st.permutations(KINDS)) + data.draw(
+            st.lists(st.sampled_from(KINDS), max_size=6))
+        feats = [random_feature(data.draw, kind, base_w, base_h)
+                 for kind in kinds]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        windows = [integral_image(gray(rng.integers(0, 256,
+                                                    size=(base_h, base_w))))
+                   for _ in range(data.draw(st.integers(1, 8)))]
+        values = feature_value_matrix(windows, feats, base_w, base_h)
+        assert values.shape == (len(windows), len(feats))
+        for i, ii in enumerate(windows):
+            for j, feat in enumerate(feats):
+                assert values[i, j] == eval_feature(ii, feat, (0, 0), 1.0,
+                                                    base_w, base_h)
+
     def test_half_contrast_hand_value(self):
         # 24x24 window, left half 255 / right half 0. Raw 2H value is
         # 255 * 12 * 24 = 73440; mean 127.5, E[x^2] = 32512.5, so
@@ -595,10 +664,6 @@ class TestDetect:
             detect(gray(np.zeros((20, 20))), face_cascade)
 
 
-# (x, y) size units of each kind: the rect sides must be multiples of them
-UNITS = {"2H": (2, 1), "2V": (1, 2), "3H": (3, 1), "3V": (1, 3), "4": (2, 2)}
-
-
 @st.composite
 def small_cascades(draw):
     """1-3 stages of 1-4 stumps over a small base window; the first stage
@@ -606,12 +671,7 @@ def small_cascades(draw):
     base_w, base_h = draw(st.integers(6, 12)), draw(st.integers(6, 12))
 
     def stump(kind):
-        ux, uy = UNITS[kind]
-        w = ux * draw(st.integers(1, base_w // ux))
-        h = uy * draw(st.integers(1, base_h // uy))
-        rect = Rect(draw(st.integers(0, base_w - w)),
-                    draw(st.integers(0, base_h - h)), w, h)
-        return (WeakClassifier(HaarFeature(kind, rect),
+        return (WeakClassifier(random_feature(draw, kind, base_w, base_h),
                                draw(st.floats(-20, 20)),
                                draw(st.sampled_from([1, -1]))),
                 draw(st.floats(0.1, 3.0)))
