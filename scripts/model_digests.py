@@ -10,7 +10,9 @@ detector end to end:
 `simulate` with the resulting PIPE1. Last it prints the sha256 of the
 training feature values: `feature_value_matrix` over the windows that
 `detect-train --n-frames 60 --seed 7` trains on and `feature_grid(24, 24,
-3)`. Two commits whose printed digests agree write byte-identical model,
+3)`, and then the trace of `simulate --sample-period 0.1 --alarm-duration 1
+--t-low 3` with the first PIPE1, which pins the alert timing off period 1.
+Two commits whose printed digests agree write byte-identical model,
 cascade, trace and cross-validation report files and compute the same
 training values, which is how a refactor or a scan change shows that it
 changed no output.
@@ -78,10 +80,15 @@ def main() -> int:
               "--seed", "7", "--detector", cascade])
         _run(["simulate", "--manifest", str(manifest), "--model",
               str(det / "model.pipe1"), "--out", str(det / "trace.txt")])
-        for name in FILES:
-            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-            print(f"{digest}  {name}")
+        _run(["simulate", "--manifest", str(manifest), "--model", model,
+              "--sample-period", "0.1", "--alarm-duration", "1",
+              "--t-low", "3", "--out", str(out / "trace_period.txt")])
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in FILES + ("trace_period.txt",)}
+    for name in FILES:
+        print(f"{digests[name]}  {name}")
     print(f"{feature_values_digest()}  feature_values")
+    print(f"{digests['trace_period.txt']}  trace_period.txt")
     return 0
 
 

@@ -66,11 +66,15 @@ def _load_config(args) -> PipelineConfig:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(frame_w=args.frame_w, frame_h=args.frame_h,
-                         n_frames=args.n_frames,
-                         fraction_fatigued=args.fraction_fatigued,
-                         jitter=args.jitter, noise_sigma=args.noise_sigma,
-                         light_level=args.light, seed=args.seed)
+    try:
+        spec = SyntheticSpec(frame_w=args.frame_w, frame_h=args.frame_h,
+                             n_frames=args.n_frames,
+                             fraction_fatigued=args.fraction_fatigued,
+                             jitter=args.jitter, noise_sigma=args.noise_sigma,
+                             light_level=args.light, seed=args.seed)
+    except ValueError as exc:  # the spec's range checks are the flags'
+        print(f"fatiguedet synth: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     manifest = write_dataset(spec, args.out)
     print(f"wrote {spec.n_frames} frames and {manifest}")
     return 0
@@ -217,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True, help="PIPE1 model file")
     p.add_argument("--folds", type=_int_at_least(2), default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--json-out", help="machine-readable report path")
     p.set_defaults(func=cmd_eval)
 
@@ -246,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated boosting rounds per stage")
     p.add_argument("--target-rate", type=_rate, default=0.99)
     p.add_argument("--feature-step", type=_int_at_least(1), default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_detect_train)
 
     p = sub.add_parser("default-config",

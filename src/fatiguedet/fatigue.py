@@ -3,7 +3,9 @@ fatigue levels, and the alarm/escalation state machine.
 
 The accumulator integrates +1/-1 classifier outputs and never drops below
 zero. Crossing the lower threshold triggers a fixed-duration alarm cycle;
-crossing the upper threshold escalates to vehicle-side actions.
+crossing the upper threshold escalates to vehicle-side actions. Time is an
+integer tick count: tick n is stamped n * sample_period, and each duration
+is turned into whole ticks by AlertConfig.ticks.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ class ActuatorEvent:
 
 @dataclass(frozen=True)
 class FatigueAccumulator:
-    """Running sum r (clamped at zero) and elapsed time t in seconds."""
+    """Running sum r of classifier outputs, clamped at zero."""
 
     r: int = 0
-    t: float = 0.0
 
     def __post_init__(self):
-        if self.r < 0 or self.t < 0:
-            raise ValueError("accumulator requires r >= 0 and t >= 0")
+        if self.r < 0:
+            raise ValueError("accumulator requires r >= 0")
 
 
 @dataclass(frozen=True)
@@ -71,34 +72,42 @@ class AlertConfig:
     def __post_init__(self):
         if not (1 <= self.t_low < self.t_high):
             raise ValueError("need 1 <= t_low < t_high")
-        if not (0 < self.alarm_duration < math.inf
-                and 0 < self.sample_period < math.inf):
-            raise ValueError("durations must be positive and finite")
-        if not 0 <= self.high_persist < math.inf:
-            raise ValueError("high_persist must be >= 0 and finite")
+        if not (self.alarm_duration > 0 and self.high_persist >= 0
+                and 0 < self.sample_period * 2**53 < math.inf
+                and math.isfinite(max(self.alarm_duration, self.high_persist)
+                                  / self.sample_period)):
+            raise ValueError("need alarm_duration > 0 and high_persist >= 0 "
+                             "finite in ticks, and 2**53 ticks finite")
+
+    def ticks(self, duration: float) -> int:
+        """A duration in whole ticks: duration / sample_period rounded up,
+        or to the nearest whole number when within float rounding of it."""
+        q = duration / self.sample_period
+        return round(q) if math.isclose(q, round(q)) else math.ceil(q)
 
 
 @dataclass(frozen=True)
 class Idle:
-    def render(self) -> str:
+    def render(self, period: float) -> str:
         return "Idle"
 
 
 @dataclass(frozen=True)
 class LowAlarm:
-    remaining: float
+    remaining: int  # ticks the alarm still rings before the re-check
 
-    def render(self) -> str:
-        return f"LowAlarm({_fmt(self.remaining)})"
+    def render(self, period: float) -> str:
+        return f"LowAlarm({_fmt(self.remaining * period)})"
 
 
 @dataclass(frozen=True)
 class HighAlert:
-    elapsed: float
+    held: int  # ticks in the High band since entry
     stop_issued: bool
 
-    def render(self) -> str:
-        return f"HighAlert({_fmt(self.elapsed)},{int(self.stop_issued)})"
+    def render(self, period: float) -> str:
+        return (f"HighAlert({_fmt(self.held * period)},"
+                f"{int(self.stop_issued)})")
 
 
 AlertState = Union[Idle, LowAlarm, HighAlert]
@@ -110,15 +119,14 @@ def _fmt(x: float) -> str:
     return str(int(x)) if float(x) == int(x) else repr(float(x))
 
 
-def step(acc: FatigueAccumulator, label: int | None,
-         sample_period: float = 1.0) -> FatigueAccumulator:
+def step(acc: FatigueAccumulator, label: int | None) -> FatigueAccumulator:
     """Advance the running sum by one classifier output: r' = max(0, r + s).
-    A tick without an output (None) advances the time only."""
+    A tick without an output (None) keeps the sum."""
     if label is None:
-        return FatigueAccumulator(acc.r, acc.t + sample_period)
+        return acc
     if label not in (1, -1):
         raise ValueError(f"label must be +1 or -1, got {label}")
-    return FatigueAccumulator(max(0, acc.r + label), acc.t + sample_period)
+    return FatigueAccumulator(max(0, acc.r + label))
 
 
 def level(acc: FatigueAccumulator, config: AlertConfig) -> FatigueLevel:
@@ -130,17 +138,14 @@ def level(acc: FatigueAccumulator, config: AlertConfig) -> FatigueLevel:
     return FatigueLevel.NONE
 
 
-def alert_step(state: AlertState, lvl: FatigueLevel, dt: float,
-               config: AlertConfig,
+def alert_step(state: AlertState, lvl: FatigueLevel, config: AlertConfig,
                now: float = 0.0) -> tuple[AlertState, list[ActuatorEvent]]:
     """Advance the alarm state machine by one tick.
 
-    now is the tick's end timestamp, stamped onto emitted events. High
+    now is the tick's timestamp, stamped onto emitted events. High
     pre-empts everything; leaving HighAlert silences the alarm and re-enters
     through the Idle rules on the same tick.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     events: list[ActuatorEvent] = []
 
     def emit(kind: EventKind) -> None:
@@ -148,22 +153,18 @@ def alert_step(state: AlertState, lvl: FatigueLevel, dt: float,
 
     if lvl == FatigueLevel.HIGH:
         if isinstance(state, HighAlert):
-            elapsed = state.elapsed + dt
-            stop = state.stop_issued
-            if not stop and elapsed >= config.high_persist:
-                emit(EventKind.STOP_VEHICLE)
-                stop = True
-            return HighAlert(elapsed, stop), events
-        if isinstance(state, Idle):
-            emit(EventKind.ALARM_ON)
-        emit(EventKind.REDUCE_SPEED)
-        if config.water_spray_enabled:
-            emit(EventKind.WATER_SPRAY)
-        stop = False
-        if config.high_persist <= 0:
+            held, stop = state.held + 1, state.stop_issued
+        else:
+            if isinstance(state, Idle):
+                emit(EventKind.ALARM_ON)
+            emit(EventKind.REDUCE_SPEED)
+            if config.water_spray_enabled:
+                emit(EventKind.WATER_SPRAY)
+            held, stop = 0, False
+        if not stop and held >= config.ticks(config.high_persist):
             emit(EventKind.STOP_VEHICLE)
             stop = True
-        return HighAlert(0.0, stop), events
+        return HighAlert(held, stop), events
 
     if isinstance(state, HighAlert):
         emit(EventKind.ALARM_OFF)
@@ -172,17 +173,16 @@ def alert_step(state: AlertState, lvl: FatigueLevel, dt: float,
     if isinstance(state, Idle):
         if lvl == FatigueLevel.LOW:
             emit(EventKind.ALARM_ON)
-            return LowAlarm(config.alarm_duration), events
+            return LowAlarm(config.ticks(config.alarm_duration)), events
         return IDLE, events
 
     # LowAlarm: the alarm rings for the full duration, then re-check.
-    remaining = state.remaining - dt
-    if remaining > 0:
-        return LowAlarm(remaining), events
+    if state.remaining > 1:
+        return LowAlarm(state.remaining - 1), events
     if lvl == FatigueLevel.LOW:
         if config.realarm_on_recheck:
             emit(EventKind.ALARM_ON)
-        return LowAlarm(config.alarm_duration), events
+        return LowAlarm(config.ticks(config.alarm_duration)), events
     emit(EventKind.ALARM_OFF)
     return IDLE, events
 
@@ -218,8 +218,8 @@ class Trace:
         for ev in self.events:
             by_time.setdefault(ev.t, []).append(ev)
         for tick, label in zip(self.ticks, self.labels):
-            lines.append(f"TICK {_fmt(tick.t)} {tick.r} "
-                         f"{tick.level.label} {tick.state.render()}")
+            lines.append(f"TICK {_fmt(tick.t)} {tick.r} {tick.level.label} "
+                         f"{tick.state.render(c.sample_period)}")
             if with_labels:
                 text = "skip" if label is None else f"{label:+d}"
                 lines.append(f"LABEL {_fmt(tick.t)} {text}")
@@ -240,12 +240,12 @@ def simulate(labels: Iterable[int | None], config: AlertConfig) -> Trace:
     acc = FatigueAccumulator()
     state: AlertState = IDLE
     trace = Trace(config, [], [], [])
-    for label in labels:
-        acc = step(acc, label, config.sample_period)
+    for tick, label in enumerate(labels, start=1):
+        t = tick * config.sample_period
+        acc = step(acc, label)
         lvl = level(acc, config)
-        state, evs = alert_step(state, lvl, config.sample_period, config,
-                                now=acc.t)
+        state, evs = alert_step(state, lvl, config, now=t)
         trace.events.extend(evs)
-        trace.ticks.append(TraceTick(acc.t, acc.r, lvl, state))
+        trace.ticks.append(TraceTick(t, acc.r, lvl, state))
         trace.labels.append(label)
     return trace

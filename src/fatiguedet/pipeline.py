@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import os
 from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
@@ -80,7 +81,7 @@ def ingest(manifest_path: str | Path) -> list[ManifestRecord]:
     """Read a manifest CSV: path,label[,group[,x,y,w,h]] per record.
 
     An optional header line is detected by a non-numeric label field. Paths
-    resolve relative to the manifest's directory and must exist.
+    resolve relative to the manifest's directory and must name files.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -88,7 +89,11 @@ def ingest(manifest_path: str | Path) -> list[ManifestRecord]:
     base = manifest_path.parent
     records: list[ManifestRecord] = []
     text = io.StringIO(read_text(manifest_path, ManifestError), newline="")
-    for line_no, row in enumerate(csv.reader(text), start=1):
+    try:
+        rows = list(csv.reader(text))
+    except csv.Error as exc:  # e.g. a field over the csv size limit
+        raise ManifestError(f"{manifest_path}: {exc}") from None
+    for line_no, row in enumerate(rows, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) < 2:
@@ -114,8 +119,8 @@ def ingest(manifest_path: str | Path) -> list[ManifestRecord]:
                 raise ManifestError(f"line {line_no}: bad box: {exc}") \
                     from None
         path = base / row[0].strip()
-        if not path.exists():
-            raise MissingFile(f"line {line_no}: {path} does not exist")
+        if not os.path.isfile(path):  # False for a name the OS rejects
+            raise MissingFile(f"line {line_no}: {path} is not a file")
         records.append(ManifestRecord(path, label, group, box))
     if not records:
         raise EmptyManifest(f"{manifest_path} holds no records")
@@ -501,12 +506,13 @@ def evaluate(model: PipelineModel, records: Sequence[ManifestRecord],
         kernel=model.svm.kernel, seed=seed, groups=groups)
 
 
-def onset_latency(trace: StreamTrace, onset_tick: int) -> float | None:
-    """Ticks from a fatigue onset to the first AlarmOn, or None."""
-    period = trace.trace.config.sample_period
+def onset_latency(trace: StreamTrace, onset_tick: int) -> int | None:
+    """Ticks from a fatigue onset to the first AlarmOn, or None; ticks
+    count from 1, and an event is on the tick that carries its time."""
     for ev in trace.trace.events:
         if ev.kind == fatigue.EventKind.ALARM_ON:
-            return ev.t / period - onset_tick
+            return next(n for n, tick in enumerate(trace.trace.ticks, 1)
+                        if tick.t == ev.t) - onset_tick
     return None
 
 

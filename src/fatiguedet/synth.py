@@ -14,6 +14,7 @@ and the mouth inside the 40x40 window at (30, 60).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,8 +58,11 @@ class SyntheticSpec:
             raise ValueError("fraction_fatigued must be in [0, 1]")
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
-        if self.jitter < 0 or self.noise_sigma < 0:
-            raise ValueError("jitter and noise_sigma must be >= 0")
+        if not (self.jitter >= 0 and 0 <= self.noise_sigma < math.inf):
+            raise ValueError("jitter and noise_sigma must be >= 0 and "
+                             "finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.light_level not in ("normal", "dim"):
             raise ValueError("light_level must be 'normal' or 'dim'")
 

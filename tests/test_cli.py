@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatiguedet.cli import main
 from fatiguedet.detector import load_cascade, save_cascade
@@ -22,11 +24,32 @@ def workdir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """An 8-frame set and a model trained on it."""
+    root = tmp_path_factory.mktemp("small")
+    assert main(["synth", "--out", str(root / "data"), "--n-frames", "8",
+                 "--seed", "4"]) == 0
+    assert main(["train", "--manifest", str(root / "data" / "manifest.csv"),
+                 "--out-dir", str(root / "models")]) == 0
+    return root
+
+
 class TestSynth:
     def test_writes_frames_and_manifest(self, workdir):
         assert (workdir / "data" / "manifest.csv").exists()
         assert (workdir / "data" / "frame_00000.pgm").exists()
         assert (workdir / "data" / "frame_00059.pgm").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--frame-w", "100"), ("--n-frames", "0"), ("--jitter", "-1"),
+        ("--fraction-fatigued", "2"), ("--noise-sigma", "nan"),
+        ("--noise-sigma", "inf"), ("--seed", "-1")])
+    def test_bad_spec_is_usage_error(self, tmp_path, flag, value, capsys):
+        out = tmp_path / "never"
+        assert main(["synth", "--out", str(out), flag, value]) == 1
+        assert "synth: error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -150,9 +173,12 @@ class TestExitCodes:
         ["simulate", "--t-low", "30"], ["train", "--svm-c", "-1"],
         ["train", "--svm-gamma", "0"], ["simulate", "--sample-period", "nan"],
         ["simulate", "--alarm-duration", "nan"],
-        ["train", "--pca-variance", "nan"]],
+        ["train", "--pca-variance", "nan"],
+        ["simulate", "--sample-period", "5e-324"],
+        ["simulate", "--sample-period", "1e308"]],
         ids=["t-low-above-t-high", "svm-c-negative", "svm-gamma-zero",
-             "sample-period-nan", "alarm-duration-nan", "pca-variance-nan"])
+             "sample-period-nan", "alarm-duration-nan", "pca-variance-nan",
+             "durations-infinite-in-ticks", "tick-times-overflow"])
     def test_bad_config_value_is_data_error(self, workdir, argv, capsys):
         manifest = str(workdir / "data" / "manifest.csv")
         extra = (["--model", str(workdir / "models" / "model.pipe1")]
@@ -161,6 +187,17 @@ class TestExitCodes:
         assert main(argv[:1] + ["--manifest", manifest] + extra
                     + argv[1:]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "detect-train"])
+    def test_negative_seed_is_usage_error(self, small, command, capsys):
+        out = small / "never.txt"
+        argv = (["eval", "--manifest", str(small / "data" / "manifest.csv"),
+                 "--model", str(small / "models" / "model.pipe1"),
+                 "--json-out", str(out)] if command == "eval" else
+                ["detect-train", "--out", str(out)])
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_data_error(self, workdir):
         assert main(["train", "--manifest", str(workdir / "ghost.csv"),
@@ -289,3 +326,51 @@ class TestExitCodes:
         assert rc == 0
         assert (workdir / "m3" / "model.pipe1").read_bytes() == \
             (workdir / "models" / "model.pipe1").read_bytes()
+
+
+# Any number argparse reads as a number, plus text it may not
+NUMBER_TEXT = (st.integers().map(str) | st.floats().map(repr)
+               | st.sampled_from(["1e400", "-0", "0x10", "1_0", " 7", ""]))
+
+
+def _flags(draw, names):
+    """Some of the flags, each with a drawn value."""
+    chosen = draw(st.lists(st.sampled_from(names), unique=True, max_size=4))
+    return [part for flag in chosen for part in (flag, draw(NUMBER_TEXT))]
+
+
+class TestNumericFlags:
+    """cli.main returns an exit code from 0 to 3 whatever the numbers."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_synth(self, tmp_path_factory, data):
+        # frame count and size only cost time, so they stay small
+        size = data.draw(st.lists(st.sampled_from(
+            [("--n-frames", st.integers(-2, 3)),
+             ("--frame-w", st.integers(-5, 300)),
+             ("--frame-h", st.integers(-5, 300))]), unique=True))
+        argv = ["synth", "--out", str(tmp_path_factory.mktemp("synth"))]
+        for flag, values in size:
+            argv += [flag, str(data.draw(values))]
+        argv += _flags(data.draw, ["--fraction-fatigued", "--jitter",
+                                   "--noise-sigma", "--seed"])
+        assert main(argv) in (0, 1, 2, 3)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_simulate(self, small, data):
+        argv = ["simulate", "--manifest", str(small / "data" / "manifest.csv"),
+                "--model", str(small / "models" / "model.pipe1"),
+                "--out", str(small / "trace.txt")]
+        argv += _flags(data.draw, ["--t-low", "--t-high", "--alarm-duration",
+                                   "--high-persist", "--sample-period"])
+        assert main(argv) in (0, 1, 2, 3)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_eval(self, small, data):
+        argv = ["eval", "--manifest", str(small / "data" / "manifest.csv"),
+                "--model", str(small / "models" / "model.pipe1")]
+        argv += _flags(data.draw, ["--folds", "--seed"])
+        assert main(argv) in (0, 1, 2, 3)

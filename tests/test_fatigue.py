@@ -20,6 +20,14 @@ from fatiguedet.fatigue import (
 CFG = AlertConfig()  # t_low=5, t_high=15, alarm 10s, persist 5s, 1s period
 
 labels_seq = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=40)
+PERIODS = [0.1, 0.2, 0.25, 0.3, 0.5, 1 / 30, 1.0]
+
+
+def ticks_of(trace, kind):
+    """Tick numbers (from 1) of a kind's events: an event is on the tick
+    that carries its time."""
+    tick_at = {tick.t: n for n, tick in enumerate(trace.ticks, 1)}
+    return [tick_at[ev.t] for ev in trace.events if ev.kind == kind]
 
 
 def check_event_discipline(trace):
@@ -59,11 +67,10 @@ def check_event_discipline(trace):
 
 class TestStep:
     def test_clamp_at_zero(self):
-        acc = step(FatigueAccumulator(0, 0.0), -1)
-        assert acc.r == 0 and acc.t == 1.0
+        assert step(FatigueAccumulator(0), -1).r == 0
 
     def test_increment(self):
-        assert step(FatigueAccumulator(3, 5.0), 1).r == 4
+        assert step(FatigueAccumulator(3), 1).r == 4
 
     @given(labels_seq)
     def test_never_negative(self, labels):
@@ -94,11 +101,11 @@ class TestLevel:
         (CFG.t_high + 10, FatigueLevel.HIGH),
     ])
     def test_bands(self, r, expected):
-        assert level(FatigueAccumulator(r, 0.0), CFG) == expected
+        assert level(FatigueAccumulator(r), CFG) == expected
 
     @given(st.integers(0, 60))
     def test_partition(self, r):
-        lvl = level(FatigueAccumulator(r, 0.0), CFG)
+        lvl = level(FatigueAccumulator(r), CFG)
         matches = [r >= CFG.t_high,
                    CFG.t_low <= r < CFG.t_high,
                    r < CFG.t_low]
@@ -109,83 +116,82 @@ class TestLevel:
 
 class TestAlertStep:
     def test_idle_quiescent(self):
-        state, events = alert_step(IDLE, FatigueLevel.NONE, 1.0, CFG, now=1.0)
+        state, events = alert_step(IDLE, FatigueLevel.NONE, CFG, now=1.0)
         assert state == IDLE and events == []
 
     def test_low_alarm_cycle(self):
         # AlarmOn on entry; the alarm holds for the full 10 s of None-level
         # ticks and AlarmOff fires exactly at expiry
-        state, events = alert_step(IDLE, FatigueLevel.LOW, 1.0, CFG, now=1.0)
-        assert state == LowAlarm(10.0)
+        state, events = alert_step(IDLE, FatigueLevel.LOW, CFG, now=1.0)
+        assert state == LowAlarm(10)
         assert [e.kind for e in events] == [EventKind.ALARM_ON]
         for k in range(2, 11):
-            state, events = alert_step(state, FatigueLevel.NONE, 1.0, CFG,
+            state, events = alert_step(state, FatigueLevel.NONE, CFG,
                                        now=float(k))
             assert events == []
             assert isinstance(state, LowAlarm)
-        state, events = alert_step(state, FatigueLevel.NONE, 1.0, CFG,
+        state, events = alert_step(state, FatigueLevel.NONE, CFG,
                                    now=11.0)
         assert state == IDLE
         assert [e.kind for e in events] == [EventKind.ALARM_OFF]
 
     def test_low_restarts_without_new_alarm(self):
-        state = LowAlarm(1.0)
-        state, events = alert_step(state, FatigueLevel.LOW, 1.0, CFG, now=5.0)
-        assert state == LowAlarm(10.0)
+        state = LowAlarm(1)
+        state, events = alert_step(state, FatigueLevel.LOW, CFG, now=5.0)
+        assert state == LowAlarm(10)
         assert events == []
 
     def test_realarm_flag(self):
         cfg = AlertConfig(realarm_on_recheck=True)
-        state, events = alert_step(LowAlarm(1.0), FatigueLevel.LOW, 1.0, cfg,
+        state, events = alert_step(LowAlarm(1), FatigueLevel.LOW, cfg,
                                    now=5.0)
         assert [e.kind for e in events] == [EventKind.ALARM_ON]
 
     def test_high_escalation_walk(self):
-        # hand-walk: entry emits alarm+reduce, stop fires once elapsed time
-        # in the High band reaches high_persist (5 ticks after entry)
-        state, events = alert_step(IDLE, FatigueLevel.HIGH, 1.0, CFG, now=1.0)
+        # hand-walk: entry emits alarm+reduce, stop fires once the ticks
+        # in the High band reach high_persist (5 ticks after entry)
+        state, events = alert_step(IDLE, FatigueLevel.HIGH, CFG, now=1.0)
         assert [e.kind for e in events] == [EventKind.ALARM_ON,
                                             EventKind.REDUCE_SPEED]
-        assert state == HighAlert(0.0, False)
+        assert state == HighAlert(0, False)
         for k in range(2, 6):
-            state, events = alert_step(state, FatigueLevel.HIGH, 1.0, CFG,
+            state, events = alert_step(state, FatigueLevel.HIGH, CFG,
                                        now=float(k))
-            if k < 6:
-                expected = [] if state.elapsed < CFG.high_persist else None
-        # elapsed reaches 5.0 on the 5th tick after entry
-        assert state == HighAlert(4.0, False)
-        state, events = alert_step(state, FatigueLevel.HIGH, 1.0, CFG, now=6.0)
+            assert events == []
+        # held reaches 5 on the 5th tick after entry
+        assert state == HighAlert(4, False)
+        state, events = alert_step(state, FatigueLevel.HIGH, CFG, now=6.0)
         assert [e.kind for e in events] == [EventKind.STOP_VEHICLE]
-        assert state == HighAlert(5.0, True)
+        assert state == HighAlert(5, True)
         # never repeats
-        state, events = alert_step(state, FatigueLevel.HIGH, 1.0, CFG, now=7.0)
+        state, events = alert_step(state, FatigueLevel.HIGH, CFG, now=7.0)
         assert events == []
 
     def test_water_spray_once(self):
         cfg = AlertConfig(water_spray_enabled=True)
-        state, events = alert_step(IDLE, FatigueLevel.HIGH, 1.0, cfg, now=1.0)
+        state, events = alert_step(IDLE, FatigueLevel.HIGH, cfg, now=1.0)
         assert [e.kind for e in events] == [
             EventKind.ALARM_ON, EventKind.REDUCE_SPEED, EventKind.WATER_SPRAY]
-        state, events = alert_step(state, FatigueLevel.HIGH, 1.0, cfg, now=2.0)
+        state, events = alert_step(state, FatigueLevel.HIGH, cfg, now=2.0)
         assert events == []
 
     def test_high_exit_reenters_same_tick(self):
-        state = HighAlert(2.0, False)
-        state, events = alert_step(state, FatigueLevel.LOW, 1.0, CFG, now=9.0)
+        state = HighAlert(2, False)
+        state, events = alert_step(state, FatigueLevel.LOW, CFG, now=9.0)
         assert [e.kind for e in events] == [EventKind.ALARM_OFF,
                                             EventKind.ALARM_ON]
-        assert state == LowAlarm(10.0)
-        state, events = alert_step(HighAlert(2.0, True), FatigueLevel.NONE,
-                                   1.0, CFG, now=9.0)
+        assert state == LowAlarm(10)
+        state, events = alert_step(HighAlert(2, True), FatigueLevel.NONE,
+                                   CFG, now=9.0)
         assert [e.kind for e in events] == [EventKind.ALARM_OFF]
         assert state == IDLE
 
     def test_low_alarm_interrupted_by_high(self):
-        state, events = alert_step(LowAlarm(7.0), FatigueLevel.HIGH, 1.0, CFG,
+        state, events = alert_step(LowAlarm(7), FatigueLevel.HIGH, CFG,
                                    now=4.0)
         # alarm already ringing: only the escalation events fire
         assert [e.kind for e in events] == [EventKind.REDUCE_SPEED]
-        assert state == HighAlert(0.0, False)
+        assert state == HighAlert(0, False)
 
 
 class TestSimulate:
@@ -275,11 +281,51 @@ class TestSimulate:
         assert got == expected
 
 
+class TestTickClock:
+    def test_alarm_rings_ten_ticks_at_period_tenth(self):
+        cfg = AlertConfig(t_low=3, t_high=10, alarm_duration=1.0,
+                          sample_period=0.1)
+        trace = simulate([1] * 3 + [-1] * 20, cfg)
+        assert ticks_of(trace, EventKind.ALARM_ON) == [3]
+        assert ticks_of(trace, EventKind.ALARM_OFF) == [13]
+
+    @given(st.sampled_from(PERIODS), st.integers(1, 40), st.integers(0, 40))
+    def test_durations_are_exact_in_ticks(self, period, k, m):
+        # alarm_duration = k periods rings k ticks; high_persist = m
+        # periods stops the vehicle m ticks after the speed reduction
+        cfg = AlertConfig(t_low=1, t_high=2, alarm_duration=k * period,
+                          high_persist=m * period, sample_period=period)
+        low = simulate([1] + [-1] * (k + 3), cfg)
+        assert ticks_of(low, EventKind.ALARM_ON) == [1]
+        assert ticks_of(low, EventKind.ALARM_OFF) == [1 + k]
+        high = simulate([1] * (m + 4), cfg)
+        assert ticks_of(high, EventKind.REDUCE_SPEED) == [2]
+        assert ticks_of(high, EventKind.STOP_VEHICLE) == [2 + m]
+
+    def test_ticks_round_up_unless_whole_within_rounding(self):
+        cfg = AlertConfig(sample_period=0.1)
+        assert (0.3 / 0.1, 0.7 / 0.1) != (3, 7)
+        assert [cfg.ticks(d) for d in (0.0, 0.3, 0.7, 1.0, 0.15, 0.21)] == \
+            [0, 3, 7, 10, 2, 3]
+
+    def test_tick_times_are_tick_times_period(self):
+        # a running sum of 0.1 reads 0.7999999999999999 at tick 8
+        trace = simulate([None] * 10, AlertConfig(sample_period=0.1))
+        assert [t.t for t in trace.ticks] == [n * 0.1 for n in range(1, 11)]
+
+
 class TestConfigValidation:
+    def test_durations_finite_in_ticks(self):
+        # 10 s / 5e-324 s overflows to inf ticks
+        with pytest.raises(ValueError):
+            AlertConfig(sample_period=5e-324)
+        with pytest.raises(ValueError):
+            AlertConfig(high_persist=1e308, sample_period=1e-10)
+
     def test_threshold_order(self):
         with pytest.raises(ValueError):
             AlertConfig(t_low=5, t_high=5)
 
     def test_accumulator_invariants(self):
         with pytest.raises(ValueError):
-            FatigueAccumulator(-1, 0.0)
+            FatigueAccumulator(-1)

@@ -19,6 +19,7 @@ from fatiguedet.errors import (
     BadLabel,
     ConfigError,
     EmptyManifest,
+    FatigueDetError,
     ManifestError,
     MissingFile,
     ModelMismatch,
@@ -31,9 +32,11 @@ from fatiguedet.fatigue import AlertConfig
 from fatiguedet.features import RoiGeometry
 from fatiguedet.imaging import Image, PreprocessConfig, Rect, save_pnm
 from fatiguedet.pipeline import (
+    CONFIG_KEYS,
     ManifestRecord,
     PipelineConfig,
     PipelineModel,
+    StreamTrace,
     evaluate,
     extract_features,
     fit_pipeline,
@@ -132,8 +135,23 @@ def configs(draw):
             t_low, draw(st.integers(t_low + 1, 2000)),
             draw(_floats(0, 1e4, exclude_min=True)),
             draw(_floats(0, 1e4)), draw(st.booleans()),
-            draw(_floats(0, 100, exclude_min=True)), draw(st.booleans())),
+            # down to 1e-300: 1e4 / 1e-300 ticks is still finite
+            draw(_floats(1e-300, 100)), draw(st.booleans())),
         seed=draw(st.integers(-2**31, 2**31)))
+
+
+# manifest fields: names of a file, of a directory and of nothing, labels,
+# groups, box values, a name too long for the file system, a NUL and a quote
+MANIFEST_TOKENS = ["frame_00000.pgm", "manifest.csv", "", ".", "..", "+1",
+                   "-1", "1", "2", "g0", "0", "-4", "120", "x" * 300,
+                   "a\0b", '"', "nan"]
+
+
+@pytest.fixture(scope="module")
+def one_frame_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("one_frame")
+    write_dataset(SyntheticSpec(n_frames=1, seed=1), root)
+    return root
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +228,26 @@ class TestIngest:
         with pytest.raises(ManifestError):
             ingest(tmp_path / "m.csv")
 
+    @pytest.mark.parametrize("body, error", [
+        (",+1\n", MissingFile), ("x" * 5000 + ",+1\n", MissingFile),
+        ("frame_00000.pgm,+1\n" + "x" * 200_000 + ",+1\n", ManifestError)],
+        ids=["directory", "name-too-long", "field-over-csv-limit"])
+    def test_unusable_row_is_typed_error(self, one_frame_dir, body, error):
+        (one_frame_dir / "m.csv").write_text(body)
+        with pytest.raises(error):
+            ingest(one_frame_dir / "m.csv")
+
+    @given(st.binary(max_size=64) | st.lists(
+        st.lists(st.sampled_from(MANIFEST_TOKENS), max_size=8).map(
+            ",".join), max_size=4).map(lambda rows: "\n".join(rows).encode()))
+    def test_any_manifest_bytes_raise_only_typed_errors(self, one_frame_dir,
+                                                         data):
+        (one_frame_dir / "fuzz.csv").write_bytes(data)
+        try:
+            ingest(one_frame_dir / "fuzz.csv")
+        except FatigueDetError:
+            pass
+
 
 class TestConfig:
     def test_roundtrip_defaults(self):
@@ -263,6 +301,26 @@ class TestConfig:
     def test_bad_value_is_config_error(self, line):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
+
+    @pytest.mark.parametrize("text", [
+        "sample_period = 5e-324\n",
+        "high_persist = 1e308\nsample_period = 1e-10\n"])
+    def test_durations_beyond_finite_ticks_are_config_error(self, text):
+        with pytest.raises(ConfigError, match="finite in ticks"):
+            parse_config(text)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(sorted(CONFIG_KEYS)) | st.text(max_size=8),
+        st.text(max_size=20) | st.floats().map(repr)
+        | st.integers().map(str)
+        | st.lists(st.integers(-9, 10**6), min_size=3, max_size=5).map(
+            lambda v: " ".join(map(str, v)))), max_size=6))
+    def test_any_key_value_text_raises_only_typed_errors(self, pairs):
+        text = "".join(f"{key} = {value}\n" for key, value in pairs)
+        try:
+            parse_config(text)
+        except FatigueDetError:
+            pass
 
 
 class TestFitPipeline:
@@ -323,6 +381,13 @@ class TestInferStream:
         lat = onset_latency(stream, onset_tick=20)
         # near-perfect classifier: alarm ~t_low ticks after onset
         assert lat is not None and abs(lat - 5) <= 2
+
+    def test_onset_latency_is_whole_ticks(self):
+        # AlarmOn on tick 3 at t = 3 * 0.1, which is not 0.3
+        cfg = AlertConfig(t_low=3, t_high=10, sample_period=0.1)
+        stream = StreamTrace(fatigue.simulate([1] * 5, cfg), skipped=0)
+        latency = onset_latency(stream, onset_tick=0)
+        assert latency == 3 and type(latency) is int
 
     def test_empty_frame_list(self, model):
         stream = infer_stream(model, [])
