@@ -11,7 +11,12 @@ detector end to end:
 training feature values: `feature_value_matrix` over the windows that
 `detect-train --n-frames 60 --seed 7` trains on and `feature_grid(24, 24,
 3)`, and then the trace of `simulate --sample-period 0.1 --alarm-duration 1
---t-low 3` with the first PIPE1, which pins the alert timing off period 1.
+--t-low 3` with the first PIPE1, which pins the alert timing off period 1,
+and the PIPE1 and trace of `train --seed 7` and `simulate` on a 60-frame
+`--light dim` set (seed 101), whose frames take the contrast enhancement
+(CLAHE) path of preprocessing that the desk set never reaches. The dim
+trace alone would not pin that path: its labels survive small pixel
+changes, while the PCA basis in the PIPE1 does not.
 Two commits whose printed digests agree write byte-identical model,
 cascade, trace and cross-validation report files and compute the same
 training values, which is how a refactor or a scan change shows that it
@@ -34,6 +39,8 @@ from fatiguedet.synth import SyntheticSpec, detector_windows, generate, \
 FILES = ("model.pca1", "model.svm1", "model.pipe1", "trace.txt",
          "trace_spray.txt", "cascade.txt", "detector/model.pipe1",
          "detector/trace.txt", "eval.json")
+# printed after the feature_values line
+LATER_FILES = ("trace_period.txt", "dim/model.pipe1", "dim/trace.txt")
 
 
 def _run(argv: list[str]) -> None:
@@ -83,12 +90,21 @@ def main() -> int:
         _run(["simulate", "--manifest", str(manifest), "--model", model,
               "--sample-period", "0.1", "--alarm-duration", "1",
               "--t-low", "3", "--out", str(out / "trace_period.txt")])
+        dim = write_dataset(
+            SyntheticSpec(n_frames=60, fraction_fatigued=0.5,
+                          light_level="dim", seed=101), root / "dim")
+        _run(["train", "--manifest", str(dim), "--out-dir",
+              str(out / "dim"), "--seed", "7"])
+        _run(["simulate", "--manifest", str(dim), "--model",
+              str(out / "dim" / "model.pipe1"),
+              "--out", str(out / "dim" / "trace.txt")])
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in FILES + ("trace_period.txt",)}
+                   for name in FILES + LATER_FILES}
     for name in FILES:
         print(f"{digests[name]}  {name}")
     print(f"{feature_values_digest()}  feature_values")
-    print(f"{digests['trace_period.txt']}  trace_period.txt")
+    for name in LATER_FILES:
+        print(f"{digests[name]}  {name}")
     return 0
 
 

@@ -1,6 +1,8 @@
 """Grayscale/RGB image substrate: binary PNM codec, grayscale conversion,
 bilinear resizing, integral images, and the denoise-then-enhance
-preprocessing chain.
+preprocessing chain: a table-driven 5x5 bilateral filter and tile CLAHE
+built in one pass. Given a region, preprocessing without enhancement
+denoises only that region and its 2-pixel halo.
 
 All operations are pure; Image values are immutable after construction.
 """
@@ -231,12 +233,16 @@ def resize_bilinear(img: Image, new_w: int, new_h: int) -> Image:
     return Image.from_float(top * (1 - fy) + bot * fy)
 
 
+def _check_inside(rect: Rect, width: int, height: int) -> None:
+    if rect.x < 0 or rect.y < 0 or rect.x2 > width or rect.y2 > height:
+        raise OutOfBounds(f"{rect} outside {width}x{height} image")
+
+
 def crop(img: Image, rect: Rect) -> Image:
     """Copy the pixels of rect out of a grayscale image."""
     if img.channels != GRAY:
         raise ValueError("crop expects a grayscale image")
-    if rect.x < 0 or rect.y < 0 or rect.x2 > img.width or rect.y2 > img.height:
-        raise OutOfBounds(f"{rect} outside {img.width}x{img.height} image")
+    _check_inside(rect, img.width, img.height)
     return Image.from_array(img.pixels[rect.y:rect.y2, rect.x:rect.x2])
 
 
@@ -274,8 +280,7 @@ def integral_image(img: Image) -> IntegralImage:
 
 def rect_sum(ii: IntegralImage, rect: Rect) -> int:
     """Exact pixel sum over rect in O(1)."""
-    if rect.x < 0 or rect.y < 0 or rect.x2 > ii.width or rect.y2 > ii.height:
-        raise OutOfBounds(f"{rect} outside {ii.width}x{ii.height} image")
+    _check_inside(rect, ii.width, ii.height)
     s = ii.sums
     return int(s[rect.y2, rect.x2] - s[rect.y, rect.x2]
                - s[rect.y2, rect.x] + s[rect.y, rect.x])
@@ -290,53 +295,35 @@ def denoise(img: Image, spatial_sigma: float = 1.5,
 
     Each output pixel is the weighted mean of its neighborhood, with weight
     exp(-d^2 / (2 ss^2)) * exp(-(I(p)-I(q))^2 / (2 rs^2)); borders are
-    clamp-replicated. Output is rounded half up.
+    clamp-replicated. Output is rounded half up. The range weight depends
+    only on |I(p)-I(q)| in 0..255, so each offset reads its weights from a
+    256-entry table holding the same float products.
     """
     if img.channels != GRAY:
         raise ValueError("denoise expects a grayscale image")
     if spatial_sigma <= 0 or range_sigma <= 0:
         raise ValueError("sigmas must be positive")
-    center = img.as_float()
-    padded = np.pad(center, 2, mode="edge")
-    num = np.zeros_like(center)
-    den = np.zeros_like(center)
+    levels = np.pad(img.pixels, 2, mode="edge").astype(np.int16)
+    h, w = img.height, img.width
+    center = levels[2:2 + h, 2:2 + w]
+    num = np.zeros((h, w))
+    den = np.zeros((h, w))
     inv2ss = 1.0 / (2.0 * spatial_sigma * spatial_sigma)
     inv2rs = 1.0 / (2.0 * range_sigma * range_sigma)
-    h, w = center.shape
+    d = np.arange(256, dtype=np.float64)
+    range_weight = np.exp(-(d * d) * inv2rs)
     for dy in range(-2, 3):
         for dx in range(-2, 3):
-            sw = math.exp(-(dy * dy + dx * dx) * inv2ss)
-            q = padded[2 + dy:2 + dy + h, 2 + dx:2 + dx + w]
-            diff = center - q
-            wgt = sw * np.exp(-(diff * diff) * inv2rs)
-            num += wgt * q
+            table = math.exp(-(dy * dy + dx * dx) * inv2ss) * range_weight
+            q = np.s_[2 + dy:2 + dy + h, 2 + dx:2 + dx + w]
+            wgt = table.take(np.abs(center - levels[q]))
+            num += wgt * levels[q]
             den += wgt
     return Image.from_float(num / den)
 
 
 def _tile_bounds(size: int, tiles: int) -> list[tuple[int, int]]:
     return [(t * size // tiles, (t + 1) * size // tiles) for t in range(tiles)]
-
-
-def _tile_mapping(tile: np.ndarray, clip_limit: float) -> np.ndarray:
-    """Clipped-equalization intensity mapping (256 floats) for one tile.
-
-    A tile whose raw histogram occupies a single bin maps that bin to itself
-    (identity), which makes constant regions fixed points.
-    """
-    hist = np.bincount(tile.ravel(), minlength=256).astype(np.float64)
-    if np.count_nonzero(hist) == 1:
-        return np.arange(256, dtype=np.float64)
-    n = tile.size
-    if math.isfinite(clip_limit):
-        clip = clip_limit * n / 256.0
-        excess = np.maximum(hist - clip, 0.0).sum()
-        hist = np.minimum(hist, clip) + excess / 256.0
-    cdf = np.cumsum(hist)
-    first = int(np.argmax(hist > 0))
-    cdf_min = cdf[first]
-    mapped = 255.0 * (cdf - cdf_min) / (n - cdf_min)
-    return np.clip(mapped, 0.0, 255.0)
 
 
 def enhance_contrast(img: Image, tiles: int = 8,
@@ -347,6 +334,8 @@ def enhance_contrast(img: Image, tiles: int = 8,
     histogram is clipped at clip_limit * (tile_pixels / 256) with the excess
     redistributed uniformly, turned into a CDF mapping, and the per-pixel
     result bilinearly interpolated between the four surrounding tile centers.
+    A tile whose raw histogram occupies a single bin maps that bin to itself
+    (identity), which makes constant regions fixed points.
     """
     if img.channels != GRAY:
         raise ValueError("enhance_contrast expects a grayscale image")
@@ -358,10 +347,24 @@ def enhance_contrast(img: Image, tiles: int = 8,
     tx = min(tiles, img.width)
     rows = _tile_bounds(img.height, ty)
     cols = _tile_bounds(img.width, tx)
-    lut = np.empty((ty, tx, 256), dtype=np.float64)
-    for i, (r0, r1) in enumerate(rows):
-        for j, (c0, c1) in enumerate(cols):
-            lut[i, j] = _tile_mapping(img.pixels[r0:r1, c0:c1], clip_limit)
+    v = img.pixels
+    # every tile's histogram from one bincount of tile_id * 256 + value
+    row_tile = np.repeat(np.arange(ty), [b - a for a, b in rows])
+    col_tile = np.repeat(np.arange(tx), [b - a for a, b in cols])
+    key = (row_tile[:, None] * tx + col_tile) * 256 + v
+    raw = np.bincount(key.ravel(), minlength=ty * tx * 256).reshape(-1, 256)
+    hist = raw.astype(np.float64)
+    n = hist.sum(axis=1, keepdims=True)  # pixels per tile
+    if math.isfinite(clip_limit):
+        clip = clip_limit * n / 256.0
+        excess = np.maximum(hist - clip, 0.0).sum(axis=1, keepdims=True)
+        hist = np.minimum(hist, clip) + excess / 256.0
+    cdf = np.cumsum(hist, axis=1)
+    cdf_min = np.take_along_axis(cdf, np.argmax(hist > 0, axis=1)[:, None], 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 when one bin
+        mapped = np.clip(255.0 * (cdf - cdf_min) / (n - cdf_min), 0.0, 255.0)
+    single = (np.count_nonzero(raw, axis=1) == 1)[:, None]
+    lut = np.where(single, np.arange(256.0), mapped)
 
     def axis_interp(coords: np.ndarray, bounds):
         centers = np.array([(a + b - 1) / 2.0 for a, b in bounds])
@@ -375,12 +378,13 @@ def enhance_contrast(img: Image, tiles: int = 8,
 
     j0, j1, fx = axis_interp(np.arange(img.width, dtype=np.float64), cols)
     i0, i1, fy = axis_interp(np.arange(img.height, dtype=np.float64), rows)
-    v = img.pixels
-    i0c, i1c = i0[:, None], i1[:, None]
-    fyc = fy[:, None]
-    top = lut[i0c, j0, v] * (1 - fx) + lut[i0c, j1, v] * fx
-    bot = lut[i1c, j0, v] * (1 - fx) + lut[i1c, j1, v] * fx
-    return Image.from_float(top * (1 - fyc) + bot * fyc)
+
+    def mapped_at(i, j):  # lut[i, j, v] for row tiles i and column tiles j
+        return lut.take((i[:, None] * tx + j) * 256 + v)
+
+    top = mapped_at(i0, j0) * (1 - fx) + mapped_at(i0, j1) * fx
+    bot = mapped_at(i1, j0) * (1 - fx) + mapped_at(i1, j1) * fx
+    return Image.from_float(top * (1 - fy[:, None]) + bot * fy[:, None])
 
 
 @dataclass(frozen=True)
@@ -415,20 +419,32 @@ class PreprocessConfig:
 DEFAULT_PREPROCESS = PreprocessConfig()
 
 
-def preprocess(img: Image, config: PreprocessConfig = DEFAULT_PREPROCESS) -> Image:
-    """Grayscale, then denoise, then (conditionally) enhance contrast.
+def preprocess(img: Image, config: PreprocessConfig = DEFAULT_PREPROCESS,
+               region: Rect | None = None) -> Image:
+    """Grayscale, then denoise, then (conditionally) enhance contrast; with
+    a region, exactly crop(preprocess(img, config), region).
 
     Denoising always precedes enhancement so noise is removed before any
     amplification. Enhancement runs when low_light is "on", or in "auto"
-    mode when the grayscale mean intensity is below the threshold.
+    mode when the mean intensity of the whole grayscale frame is below the
+    threshold. Without enhancement a region's pixels depend only on the
+    region grown by the 2-pixel denoise reach, so only that halo, clipped at
+    the frame border where the clamp applies, is denoised.
     """
     gray = to_grayscale(img)
-    out = denoise(gray, config.denoise_spatial_sigma,
-                  config.denoise_range_sigma)
+    if region is not None:
+        _check_inside(region, gray.width, gray.height)
     enhance = config.low_light == "on" or (
         config.low_light == "auto"
         and float(gray.pixels.mean()) < config.low_light_threshold)
+    if region is not None and not enhance:
+        x0, y0 = max(region.x - 2, 0), max(region.y - 2, 0)
+        gray = crop(gray, Rect(x0, y0, min(region.x2 + 2, gray.width) - x0,
+                               min(region.y2 + 2, gray.height) - y0))
+        region = Rect(region.x - x0, region.y - y0, region.w, region.h)
+    out = denoise(gray, config.denoise_spatial_sigma,
+                  config.denoise_range_sigma)
     if enhance:
         out = enhance_contrast(out, config.clahe_tiles,
                                config.clahe_clip_limit)
-    return out
+    return out if region is None else crop(out, region)

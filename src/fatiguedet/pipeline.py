@@ -66,22 +66,22 @@ class ManifestRecord:
         return load_pnm(self.path.read_bytes())
 
 
+# The accepted label spellings, after surrounding whitespace is stripped.
+_LABELS = {"1": 1, "+1": 1, "-1": -1}
+
+
 def _parse_label(token: str, line_no: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise BadLabel(f"line {line_no}: label {token!r} is not +1/-1") \
-            from None
-    if value not in (1, -1):
+    if token not in _LABELS:
         raise BadLabel(f"line {line_no}: label {token!r} is not +1/-1")
-    return value
+    return _LABELS[token]
 
 
 def ingest(manifest_path: str | Path) -> list[ManifestRecord]:
     """Read a manifest CSV: path,label[,group[,x,y,w,h]] per record.
 
-    An optional header line is detected by a non-numeric label field. Paths
-    resolve relative to the manifest's directory and must name files.
+    A label is 1, +1 or -1. An optional first line whose label field holds
+    no digit is a header. Paths resolve relative to the manifest's directory
+    and must name files.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -99,11 +99,8 @@ def ingest(manifest_path: str | Path) -> list[ManifestRecord]:
         if len(row) < 2:
             raise ManifestError(f"line {line_no}: expected at least "
                                 f"path,label")
-        if line_no == 1:
-            try:
-                int(row[1])
-            except ValueError:
-                continue  # header line
+        if line_no == 1 and not any(c.isdigit() for c in row[1]):
+            continue  # header line
         if len(row) not in (2, 3, 7):
             raise ManifestError(
                 f"line {line_no}: expected 2, 3, or 7 fields, "
@@ -352,11 +349,16 @@ def frame_vectors(frames: Iterable[Image],
                   ) -> Iterator[np.ndarray | None]:
     """Each frame's feature vector, or None where no face box is found, one
     frame at a time: preprocess, frame_box (boxes[i] is frame i's fallback
-    box), then frame_features."""
+    box), then frame_features. Without a cascade the box is known first,
+    so only its pixels are preprocessed."""
     for i, img in enumerate(frames):
-        img = preprocess(img, prep)
-        box = frame_box(img, cascade, scan,
-                        boxes[i] if boxes is not None else None)
+        fallback = boxes[i] if boxes is not None else None
+        if cascade is None:
+            box = frame_box(img, None, scan, fallback)
+            img, box = preprocess(img, prep, box), Rect(0, 0, box.w, box.h)
+        else:
+            img = preprocess(img, prep)
+            box = frame_box(img, cascade, scan, fallback)
         yield None if box is None else \
             features.frame_features(img, box, geometry)
 

@@ -61,6 +61,9 @@ class SyntheticSpec:
         if not (self.jitter >= 0 and 0 <= self.noise_sigma < math.inf):
             raise ValueError("jitter and noise_sigma must be >= 0 and "
                              "finite")
+        # -0.0 passes the check above but numpy refuses it as a scale; it is
+        # the same noise level as 0, so it is stored as +0.0
+        object.__setattr__(self, "noise_sigma", abs(self.noise_sigma))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.light_level not in ("normal", "dim"):

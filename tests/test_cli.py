@@ -51,6 +51,15 @@ class TestSynth:
         assert "synth: error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_zero_noise_is_zero_noise(self, tmp_path):
+        # -0.0 passes the >= 0 check; it is stored as +0.0, not refused
+        for name, sigma in (("neg", "-0"), ("pos", "0")):
+            assert main(["synth", "--out", str(tmp_path / name), "--n-frames",
+                         "2", "--noise-sigma", sigma]) == 0
+        for name in ("manifest.csv", "frame_00000.pgm", "frame_00001.pgm"):
+            assert (tmp_path / "neg" / name).read_bytes() == \
+                (tmp_path / "pos" / name).read_bytes()
+
 
 class TestTrain:
     def test_writes_all_model_files(self, workdir):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fatiguedet import imaging
 from fatiguedet.errors import (
@@ -222,6 +222,28 @@ class TestCrop:
             crop(gray_image(np.zeros((4, 4))), Rect(1, 1, 4, 4))
 
 
+def naive_denoise(pixels, ss, rs):
+    """The bilateral filter pixel by pixel, with the clamp at the border."""
+    h, w = pixels.shape
+    out = np.empty((h, w), dtype=np.uint8)
+    for y in range(h):
+        for x in range(w):
+            num = den = 0.0
+            for dy in range(-2, 3):
+                for dx in range(-2, 3):
+                    qy = min(max(y + dy, 0), h - 1)
+                    qx = min(max(x + dx, 0), w - 1)
+                    q = float(pixels[qy, qx])
+                    wgt = math.exp(
+                        -(dy * dy + dx * dx) / (2 * ss * ss)
+                    ) * math.exp(
+                        -((float(pixels[y, x]) - q) ** 2) / (2 * rs * rs))
+                    num += wgt * q
+                    den += wgt
+            out[y, x] = int(math.floor(num / den + 0.5))
+    return gray_image(out)
+
+
 class TestDenoise:
     @given(st.integers(0, 255), st.floats(0.5, 5.0), st.floats(1.0, 80.0))
     def test_constant_fixed_point(self, value, ss, rs):
@@ -262,24 +284,14 @@ class TestDenoise:
 
     def test_against_naive_oracle(self, rng):
         pixels = rng.integers(0, 256, size=(8, 9))
-        ss, rs = 1.5, 25.0
-        out = denoise(gray_image(pixels), ss, rs)
-        h, w = pixels.shape
-        for y in range(h):
-            for x in range(w):
-                num = den = 0.0
-                for dy in range(-2, 3):
-                    for dx in range(-2, 3):
-                        qy = min(max(y + dy, 0), h - 1)
-                        qx = min(max(x + dx, 0), w - 1)
-                        q = float(pixels[qy, qx])
-                        wgt = math.exp(
-                            -(dy * dy + dx * dx) / (2 * ss * ss)
-                        ) * math.exp(
-                            -((float(pixels[y, x]) - q) ** 2) / (2 * rs * rs))
-                        num += wgt * q
-                        den += wgt
-                assert out.pixels[y, x] == int(math.floor(num / den + 0.5))
+        assert denoise(gray_image(pixels), 1.5, 25.0) == \
+            naive_denoise(pixels, 1.5, 25.0)
+
+    @pytest.mark.parametrize("ss, rs", [(0.6, 4.0), (3.5, 140.0)])
+    def test_against_naive_oracle_at_other_sigmas(self, rng, ss, rs):
+        pixels = rng.integers(0, 256, size=(11, 7))
+        assert denoise(gray_image(pixels), ss, rs) == \
+            naive_denoise(pixels, ss, rs)
 
     @given(small_gray)
     def test_shape_and_range(self, img):
@@ -287,7 +299,73 @@ class TestDenoise:
         assert (out.width, out.height) == (img.width, img.height)
 
 
+def tile_mapping(tile, clip_limit):
+    """One tile's clipped-equalization mapping (256 floats), tile by tile."""
+    hist = np.bincount(tile.ravel(), minlength=256).astype(np.float64)
+    if np.count_nonzero(hist) == 1:
+        return np.arange(256, dtype=np.float64)
+    n = tile.size
+    if math.isfinite(clip_limit):
+        clip = clip_limit * n / 256.0
+        excess = np.maximum(hist - clip, 0.0).sum()
+        hist = np.minimum(hist, clip) + excess / 256.0
+    cdf = np.cumsum(hist)
+    cdf_min = cdf[int(np.argmax(hist > 0))]
+    return np.clip(255.0 * (cdf - cdf_min) / (n - cdf_min), 0.0, 255.0)
+
+
+def enhance_oracle(img, tiles, clip_limit):
+    """enhance_contrast with one tile_mapping call per tile and the four
+    corner tables read by fancy indexing."""
+    ty, tx = min(tiles, img.height), min(tiles, img.width)
+    rows = [(t * img.height // ty, (t + 1) * img.height // ty)
+            for t in range(ty)]
+    cols = [(t * img.width // tx, (t + 1) * img.width // tx)
+            for t in range(tx)]
+    lut = np.empty((ty, tx, 256))
+    for i, (r0, r1) in enumerate(rows):
+        for j, (c0, c1) in enumerate(cols):
+            lut[i, j] = tile_mapping(img.pixels[r0:r1, c0:c1], clip_limit)
+
+    def axis_interp(size, bounds):
+        coords = np.arange(size, dtype=np.float64)
+        centers = np.array([(a + b - 1) / 2.0 for a, b in bounds])
+        i0 = np.clip(np.searchsorted(centers, coords, side="right") - 1,
+                     0, len(bounds) - 1)
+        i1 = np.clip(i0 + 1, 0, len(bounds) - 1)
+        span = centers[i1] - centers[i0]
+        frac = np.where(span > 0, (coords - centers[i0]) / np.where(
+            span > 0, span, 1.0), 0.0)
+        return i0, i1, np.clip(frac, 0.0, 1.0)
+
+    j0, j1, fx = axis_interp(img.width, cols)
+    i0, i1, fy = axis_interp(img.height, rows)
+    v, i0, i1, fy = img.pixels, i0[:, None], i1[:, None], fy[:, None]
+    top = lut[i0, j0, v] * (1 - fx) + lut[i0, j1, v] * fx
+    bot = lut[i1, j0, v] * (1 - fx) + lut[i1, j1, v] * fx
+    return Image.from_float(top * (1 - fy) + bot * fy)
+
+
 class TestEnhanceContrast:
+    @pytest.mark.parametrize("h, w, tiles", [
+        (23, 17, 5), (40, 40, 8), (31, 64, 3), (5, 3, 8), (1, 9, 4),
+        (160, 160, 8)])
+    @pytest.mark.parametrize("clip", [1.0, 1.5, 2.0, math.inf])
+    def test_against_tile_oracle(self, rng, h, w, tiles, clip):
+        pixels = rng.integers(0, 256, size=(h, w))
+        pixels[:h // 2, :w // 2] = 77  # constant tiles take the identity
+        dim = (pixels * 0.2).astype(np.uint8)  # few levels, like a dim frame
+        for arr in (pixels, dim):
+            img = gray_image(arr)
+            assert enhance_contrast(img, tiles, clip) == \
+                enhance_oracle(img, tiles, clip)
+
+    @given(small_gray, st.integers(1, 14),
+           st.floats(1.0, 6.0) | st.just(math.inf))
+    def test_matches_tile_oracle(self, img, tiles, clip):
+        assert enhance_contrast(img, tiles, clip) == \
+            enhance_oracle(img, tiles, clip)
+
     @given(st.integers(0, 255), st.integers(1, 4),
            st.floats(1.0, 10.0) | st.just(math.inf))
     def test_constant_fixed_point(self, value, tiles, clip):
@@ -342,3 +420,53 @@ class TestPreprocess:
         assert float(img.pixels.mean()) < 60  # auto mode engages
         out = preprocess(img, imaging.PreprocessConfig(low_light="auto"))
         assert float(out.pixels.std()) > float(img.pixels.std())
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_region_equals_crop_of_whole_frame(self, data):
+        w, h = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 60))
+        shape = (h, w, 3) if data.draw(st.booleans()) else (h, w)
+        lo = data.draw(st.integers(0, 255))
+        hi = data.draw(st.integers(lo, 255))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        img = Image.from_array(rng.integers(lo, hi + 1, size=shape))
+        x = data.draw(st.just(0) | st.integers(0, w - 1))
+        y = data.draw(st.just(0) | st.integers(0, h - 1))
+        region = Rect(x, y, data.draw(st.just(w - x) | st.integers(1, w - x)),
+                      data.draw(st.just(h - y) | st.integers(1, h - y)))
+        cfg = imaging.PreprocessConfig(
+            low_light=data.draw(st.sampled_from(["auto", "on", "off"])),
+            low_light_threshold=data.draw(st.floats(0.0, 256.0)),
+            denoise_spatial_sigma=data.draw(st.floats(0.3, 5.0)),
+            denoise_range_sigma=data.draw(st.floats(1.0, 150.0)),
+            clahe_tiles=data.draw(st.integers(1, 10)),
+            clahe_clip_limit=data.draw(st.floats(1.0, 6.0)
+                                       | st.just(math.inf)))
+        assert preprocess(img, cfg, region) == \
+            crop(preprocess(img, cfg), region)
+
+    def test_bright_region_of_dim_frame_is_enhanced(self, rng):
+        # the enhance decision reads the whole frame's mean, not the region's
+        arr = np.full((40, 40), 10)
+        arr[12:28, 12:28] = rng.integers(190, 256, size=(16, 16))
+        img = gray_image(arr)
+        region = Rect(12, 12, 16, 16)
+        cfg = imaging.PreprocessConfig(low_light="auto")
+        assert float(img.pixels.mean()) < cfg.low_light_threshold
+        assert float(crop(img, region).pixels.mean()) > 180
+        denoised = denoise(img, cfg.denoise_spatial_sigma,
+                           cfg.denoise_range_sigma)
+        enhanced = enhance_contrast(denoised, cfg.clahe_tiles,
+                                    cfg.clahe_clip_limit)
+        out = preprocess(img, cfg, region)
+        assert out == crop(enhanced, region)
+        assert out != crop(denoised, region)
+
+    @pytest.mark.parametrize("low_light", ["on", "off"])
+    def test_region_outside_frame(self, low_light):
+        img = gray_image(np.zeros((10, 12)))
+        cfg = imaging.PreprocessConfig(low_light=low_light)
+        for region in (Rect(-1, 0, 4, 4), Rect(9, 0, 4, 4),
+                       Rect(20, 20, 2, 2)):
+            with pytest.raises(OutOfBounds):
+                preprocess(img, cfg, region)

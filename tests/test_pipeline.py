@@ -29,8 +29,14 @@ from fatiguedet.errors import (
     VersionMismatch,
 )
 from fatiguedet.fatigue import AlertConfig
-from fatiguedet.features import RoiGeometry
-from fatiguedet.imaging import Image, PreprocessConfig, Rect, save_pnm
+from fatiguedet.features import RoiGeometry, frame_features
+from fatiguedet.imaging import (
+    Image,
+    PreprocessConfig,
+    Rect,
+    preprocess,
+    save_pnm,
+)
 from fatiguedet.pipeline import (
     CONFIG_KEYS,
     ManifestRecord,
@@ -40,6 +46,7 @@ from fatiguedet.pipeline import (
     evaluate,
     extract_features,
     fit_pipeline,
+    frame_vectors,
     infer_stream,
     ingest,
     load_pipeline,
@@ -198,6 +205,24 @@ class TestIngest:
             ingest(tmp_path / "m.csv")
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize("label", ["\u0661", "+0_1", "01", "1.0", "+ 1"],
+                             ids=["arabic-indic-one", "underscore", "zero",
+                                  "float", "inner-space"])
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_label_outside_ascii_spellings(self, one_frame_dir, label, line):
+        rows = (["frame_00000.pgm,-1"] * (line - 1)
+                + [f"frame_00000.pgm,{label}"])
+        (one_frame_dir / "m.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(BadLabel) as exc:
+            ingest(one_frame_dir / "m.csv")
+        assert f"line {line}" in str(exc.value)
+
+    def test_accepted_label_spellings(self, one_frame_dir):
+        (one_frame_dir / "m.csv").write_text(
+            "path,label\nframe_00000.pgm,1\nframe_00000.pgm, -1 \n"
+            "frame_00000.pgm,+1\n")
+        assert [r.label for r in ingest(one_frame_dir / "m.csv")] == [1, -1, 1]
+
     def test_relative_path_resolution(self, tmp_path):
         spec = SyntheticSpec(n_frames=1, seed=1)
         write_dataset(spec, tmp_path / "deep")
@@ -354,6 +379,21 @@ class TestFitPipeline:
         x, _, _, _ = extract_features(stripped, CFG.geometry,
                                       CFG.preprocess, None, CFG.scan)
         assert x.shape == (8, 4000)
+
+    @pytest.mark.parametrize("low_light", ["auto", "on", "off"])
+    def test_box_only_preprocessing_matches_whole_frame(self, dataset,
+                                                        low_light):
+        prep = PreprocessConfig(low_light=low_light)
+        frames = [r.load_image() for r in dataset[:4]]
+        boxes = [dataset[0].box, None, Rect(0, 0, 50, 40),
+                 Rect(110, 120, 50, 40)]
+        vectors = frame_vectors(frames, boxes, CFG.geometry, prep, None,
+                                CFG.scan)
+        for img, box, vec in zip(frames, boxes, vectors, strict=True):
+            whole = preprocess(img, prep)
+            box = box or Rect(0, 0, whole.width, whole.height)
+            assert np.array_equal(vec, frame_features(whole, box,
+                                                      CFG.geometry))
 
     def test_4000_columns_regardless_of_frame_size(self, tmp_path):
         spec = SyntheticSpec(frame_w=220, frame_h=140, n_frames=4, seed=2)
