@@ -14,9 +14,12 @@ training feature values: `feature_value_matrix` over the windows that
 --t-low 3` with the first PIPE1, which pins the alert timing off period 1,
 and the PIPE1 and trace of `train --seed 7` and `simulate` on a 60-frame
 `--light dim` set (seed 101), whose frames take the contrast enhancement
-(CLAHE) path of preprocessing that the desk set never reaches. The dim
-trace alone would not pin that path: its labels survive small pixel
-changes, while the PCA basis in the PIPE1 does not.
+(CLAHE) path of preprocessing that the desk set never reaches. Those runs
+pass each manifest box to preprocessing, so the dim lines pin the region
+CLAHE path: only the box's tile block is denoised and equalized, and its
+pixels must equal those cut from a whole enhanced frame. The dim trace
+alone would not pin that path: its labels survive small pixel changes,
+while the PCA basis in the PIPE1 does not.
 Two commits whose printed digests agree write byte-identical model,
 cascade, trace and cross-validation report files and compute the same
 training values, which is how a refactor or a scan change shows that it

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EmptyInput, ImageTooSmall, NoFeatures
 from .imaging import Image, IntegralImage, Rect, integral_image, iround
 from .textmodel import ModelText, count, finite, finite_or_inf, \
-    format_floats, render
+    format_floats, integer, render
 
 # kind -> (columns, rows, weights row by row): the rect is cut into
 # columns x rows equal cells, so its sides must divide by them
@@ -692,14 +692,15 @@ def save_cascade(cascade: Cascade) -> str:
 
 def load_cascade(text: str) -> Cascade:
     src = ModelText(text, "CASCADE1")
-    base_w, base_h, n_stages = src.header(int, int, count)
+    base_w, base_h, n_stages = src.header(integer, integer, count)
     stages: list[Stage] = []
     for _ in range(n_stages):
         n_weak, threshold = src.record("STAGE", count, finite)
         weak: list[tuple[WeakClassifier, float]] = []
         for _ in range(n_weak):
             kind, x, y, w, h, weak_threshold, polarity, alpha = src.record(
-                "WEAK", str, int, int, int, int, finite_or_inf, int, finite)
+                "WEAK", str, integer, integer, integer, integer, finite_or_inf,
+                integer, finite)
             with src.checked(src.pos):
                 rect = Rect(x, y, w, h)
                 if (rect.x < 0 or rect.y < 0 or rect.x2 > base_w

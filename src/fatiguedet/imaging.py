@@ -1,8 +1,10 @@
 """Grayscale/RGB image substrate: binary PNM codec, grayscale conversion,
 bilinear resizing, integral images, and the denoise-then-enhance
 preprocessing chain: a table-driven 5x5 bilateral filter and tile CLAHE
-built in one pass. Given a region, preprocessing without enhancement
-denoises only that region and its 2-pixel halo.
+built in one pass. Given a region, preprocessing denoises only the pixels
+the region reads, grown by the filter's 2-pixel halo: the region itself, or
+with enhancement the block of CLAHE tiles it interpolates from, whose
+tables alone are built.
 
 All operations are pure; Image values are immutable after construction.
 """
@@ -159,10 +161,9 @@ def _parse_pnm_header(data: bytes) -> tuple[bytes, list[int], int]:
         tok = data[start:pos]
         if not tok:
             raise MalformedHeader("truncated header")
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise MalformedHeader(f"non-numeric header token {tok!r}") from None
+        if not tok.isdigit():  # ASCII digits only: int() also takes b"1_0"
+            raise MalformedHeader(f"non-numeric header token {tok!r}")
+        values.append(int(tok))
     if pos >= n or data[pos:pos + 1] not in b" \t\r\n\x0b\x0c":
         raise MalformedHeader("missing whitespace before raster")
     return magic, values, pos + 1
@@ -322,12 +323,36 @@ def denoise(img: Image, spatial_sigma: float = 1.5,
     return Image.from_float(num / den)
 
 
-def _tile_bounds(size: int, tiles: int) -> list[tuple[int, int]]:
-    return [(t * size // tiles, (t + 1) * size // tiles) for t in range(tiles)]
+def _axis_tiles(size: int, tiles: int, start: int, stop: int):
+    """One axis of CLAHE over `size` pixels cut into n = min(tiles, size)
+    tiles: the n + 1 tile edges, then for each coordinate in start..stop-1
+    the lower and upper tile it interpolates from (the tile centers on
+    either side, clamped at the ends) and the upper tile's weight."""
+    n = min(tiles, size)
+    edges = np.arange(n + 1) * size // n
+    centers = (edges[:-1] + edges[1:] - 1) / 2.0
+    coords = np.arange(start, stop, dtype=np.float64)
+    i0 = np.clip(np.searchsorted(centers, coords, side="right") - 1, 0, n - 1)
+    i1 = np.minimum(i0 + 1, n - 1)
+    span = centers[i1] - centers[i0]
+    frac = np.where(span > 0, (coords - centers[i0]) / np.where(
+        span > 0, span, 1.0), 0.0)
+    return edges, i0, i1, np.clip(frac, 0.0, 1.0)
 
 
-def enhance_contrast(img: Image, tiles: int = 8,
-                     clip_limit: float = 2.0) -> Image:
+def clahe_block(width: int, height: int, tiles: int, region: Rect) -> Rect:
+    """The pixels of the tiles that region's pixels interpolate from in
+    enhance_contrast of a width x height image: from the lower tile of the
+    region's first row (column) to the upper tile of its last."""
+    cols, j0, j1, _ = _axis_tiles(width, tiles, region.x, region.x2)
+    rows, i0, i1, _ = _axis_tiles(height, tiles, region.y, region.y2)
+    x0, y0 = int(cols[j0[0]]), int(rows[i0[0]])
+    return Rect(x0, y0, int(cols[j1[-1] + 1]) - x0,
+                int(rows[i1[-1] + 1]) - y0)
+
+
+def enhance_contrast(img: Image, tiles: int = 8, clip_limit: float = 2.0,
+                     region: Rect | None = None) -> Image:
     """Tile-based clipped histogram equalization (adaptive contrast).
 
     The image is split into tiles x tiles regions; each region's 256-bin
@@ -336,6 +361,11 @@ def enhance_contrast(img: Image, tiles: int = 8,
     result bilinearly interpolated between the four surrounding tile centers.
     A tile whose raw histogram occupies a single bin maps that bin to itself
     (identity), which makes constant regions fixed points.
+
+    With a region the result is crop(enhance_contrast(img, ...), region),
+    computed from the tiles of clahe_block alone: only their histograms are
+    built, only region's pixels are interpolated, and no pixel outside the
+    block is read. No region is the whole image.
     """
     if img.channels != GRAY:
         raise ValueError("enhance_contrast expects a grayscale image")
@@ -343,15 +373,19 @@ def enhance_contrast(img: Image, tiles: int = 8,
         raise ValueError("tiles must be >= 1")
     if clip_limit < 1.0:
         raise ValueError("clip_limit must be >= 1.0")
-    ty = min(tiles, img.height)
-    tx = min(tiles, img.width)
-    rows = _tile_bounds(img.height, ty)
-    cols = _tile_bounds(img.width, tx)
-    v = img.pixels
+    if region is None:
+        region = Rect(0, 0, img.width, img.height)
+    _check_inside(region, img.width, img.height)
+    cols, j0, j1, fx = _axis_tiles(img.width, tiles, region.x, region.x2)
+    rows, i0, i1, fy = _axis_tiles(img.height, tiles, region.y, region.y2)
+    # the block of tiles region reads: tile rows ta..tb-1, columns sa..sb-1
+    ta, tb, sa, sb = i0[0], i1[-1] + 1, j0[0], j1[-1] + 1
+    ty, tx = tb - ta, sb - sa
+    block = img.pixels[rows[ta]:rows[tb], cols[sa]:cols[sb]]
     # every tile's histogram from one bincount of tile_id * 256 + value
-    row_tile = np.repeat(np.arange(ty), [b - a for a, b in rows])
-    col_tile = np.repeat(np.arange(tx), [b - a for a, b in cols])
-    key = (row_tile[:, None] * tx + col_tile) * 256 + v
+    row_tile = np.repeat(np.arange(ty), np.diff(rows[ta:tb + 1]))
+    col_tile = np.repeat(np.arange(tx), np.diff(cols[sa:sb + 1]))
+    key = (row_tile[:, None] * tx + col_tile) * 256 + block
     raw = np.bincount(key.ravel(), minlength=ty * tx * 256).reshape(-1, 256)
     hist = raw.astype(np.float64)
     n = hist.sum(axis=1, keepdims=True)  # pixels per tile
@@ -365,19 +399,8 @@ def enhance_contrast(img: Image, tiles: int = 8,
         mapped = np.clip(255.0 * (cdf - cdf_min) / (n - cdf_min), 0.0, 255.0)
     single = (np.count_nonzero(raw, axis=1) == 1)[:, None]
     lut = np.where(single, np.arange(256.0), mapped)
-
-    def axis_interp(coords: np.ndarray, bounds):
-        centers = np.array([(a + b - 1) / 2.0 for a, b in bounds])
-        i0 = np.clip(np.searchsorted(centers, coords, side="right") - 1,
-                     0, len(bounds) - 1)
-        i1 = np.clip(i0 + 1, 0, len(bounds) - 1)
-        span = centers[i1] - centers[i0]
-        frac = np.where(span > 0, (coords - centers[i0]) / np.where(
-            span > 0, span, 1.0), 0.0)
-        return i0, i1, np.clip(frac, 0.0, 1.0)
-
-    j0, j1, fx = axis_interp(np.arange(img.width, dtype=np.float64), cols)
-    i0, i1, fy = axis_interp(np.arange(img.height, dtype=np.float64), rows)
+    v = img.pixels[region.y:region.y2, region.x:region.x2]
+    i0, i1, j0, j1 = i0 - ta, i1 - ta, j0 - sa, j1 - sa
 
     def mapped_at(i, j):  # lut[i, j, v] for row tiles i and column tiles j
         return lut.take((i[:, None] * tx + j) * 256 + v)
@@ -427,24 +450,36 @@ def preprocess(img: Image, config: PreprocessConfig = DEFAULT_PREPROCESS,
     Denoising always precedes enhancement so noise is removed before any
     amplification. Enhancement runs when low_light is "on", or in "auto"
     mode when the mean intensity of the whole grayscale frame is below the
-    threshold. Without enhancement a region's pixels depend only on the
-    region grown by the 2-pixel denoise reach, so only that halo, clipped at
-    the frame border where the clamp applies, is denoised.
+    threshold. A region's pixels read only the denoised pixels of the
+    region itself, or with enhancement of its clahe_block (tile bounds cut
+    from the whole frame), and those read only the pixels within the
+    filter's 2-pixel reach. So only that block grown by 2 pixels, clipped
+    at the frame border where the clamp applies, is denoised, and with
+    enhancement only the block's tiles are equalized.
     """
     gray = to_grayscale(img)
-    if region is not None:
-        _check_inside(region, gray.width, gray.height)
+    frame = Rect(0, 0, gray.width, gray.height)
+    if region is None:
+        region = frame
+    _check_inside(region, gray.width, gray.height)
     enhance = config.low_light == "on" or (
         config.low_light == "auto"
         and float(gray.pixels.mean()) < config.low_light_threshold)
-    if region is not None and not enhance:
-        x0, y0 = max(region.x - 2, 0), max(region.y - 2, 0)
-        gray = crop(gray, Rect(x0, y0, min(region.x2 + 2, gray.width) - x0,
-                               min(region.y2 + 2, gray.height) - y0))
-        region = Rect(region.x - x0, region.y - y0, region.w, region.h)
-    out = denoise(gray, config.denoise_spatial_sigma,
-                  config.denoise_range_sigma)
+    reads = clahe_block(gray.width, gray.height, config.clahe_tiles,
+                        region) if enhance else region
+    x0, y0 = max(reads.x - 2, 0), max(reads.y - 2, 0)
+    halo = Rect(x0, y0, min(reads.x2 + 2, gray.width) - x0,
+                min(reads.y2 + 2, gray.height) - y0)
+    out = denoise(gray if halo == frame else crop(gray, halo),
+                  config.denoise_spatial_sigma, config.denoise_range_sigma)
     if enhance:
-        out = enhance_contrast(out, config.clahe_tiles,
-                               config.clahe_clip_limit)
-    return out if region is None else crop(out, region)
+        if halo != frame:  # put the block where enhance_contrast reads it
+            pixels = np.zeros((gray.height, gray.width), dtype=np.uint8)
+            pixels[reads.y:reads.y2, reads.x:reads.x2] = out.pixels[
+                reads.y - y0:reads.y2 - y0, reads.x - x0:reads.x2 - x0]
+            out = Image(gray.width, gray.height, GRAY, pixels)
+        return enhance_contrast(out, config.clahe_tiles,
+                                config.clahe_clip_limit, region)
+    if region == frame:
+        return out
+    return crop(out, Rect(region.x - x0, region.y - y0, region.w, region.h))

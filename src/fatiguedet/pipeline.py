@@ -39,7 +39,7 @@ from .errors import (
 )
 from .features import PcaModel, RoiGeometry, load_pca, save_pca
 from .imaging import Image, PreprocessConfig, Rect, load_pnm, preprocess
-from .textmodel import ModelText, format_floats, render
+from .textmodel import ModelText, format_floats, integer, real, render
 
 logger = logging.getLogger(__name__)
 
@@ -110,7 +110,7 @@ def ingest(manifest_path: str | Path) -> list[ManifestRecord]:
         box = None
         if len(row) == 7:
             try:
-                x, y, w, h = (int(v) for v in row[3:7])
+                x, y, w, h = (integer(v) for v in row[3:7])
                 box = Rect(x, y, w, h)
             except ValueError as exc:
                 raise ManifestError(f"line {line_no}: bad box: {exc}") \
@@ -239,7 +239,7 @@ def _parse_rect(token: str) -> Rect:
     parts = token.split()
     if len(parts) != 4:
         raise ValueError(f"expected 'x y w h', got {token!r}")
-    return Rect(*(int(v) for v in parts))
+    return Rect(*(integer(v) for v in parts))
 
 
 def _parse_value(hint, token: str):
@@ -248,7 +248,8 @@ def _parse_value(hint, token: str):
         if token == "":
             return None
         hint = optional[0]
-    return {bool: _parse_bool, Rect: _parse_rect}.get(hint, hint)(token)
+    return {bool: _parse_bool, Rect: _parse_rect, int: integer,
+            float: real}.get(hint, hint)(token)
 
 
 def _update(obj, keys: Sequence[str], values: dict[str, str]):

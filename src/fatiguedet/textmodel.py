@@ -1,12 +1,13 @@
 """The rules the text model formats CASCADE1, PCA1, SVM1 and PIPE1 share.
 
 A header line holds a magic word (a format stem and a version number) and
-an exact number of fields. Counts are non-negative integers. A row holds
-exactly its count of floats, all finite, except where a format allows
-+-inf (CASCADE1 WEAK thresholds); NaN never loads. Only blank lines may
-follow the last counted row. Each fault raises ParseError naming the format
-and the line, or VersionMismatch for the same stem with another number.
-Floats are written as `repr`, so a load/save cycle is byte-exact.
+an exact number of fields. Every number is ASCII without `_`, and counts
+are non-negative integers. A row holds exactly its count of floats, all
+finite, except where a format allows +-inf (CASCADE1 WEAK thresholds); NaN
+never loads. Only blank lines may follow the last counted row. Each fault
+raises ParseError naming the format and the line, or VersionMismatch for
+the same stem with another number. Floats are written as `repr`, so a
+load/save cycle is byte-exact.
 """
 
 from __future__ import annotations
@@ -19,9 +20,30 @@ import numpy as np
 from .errors import ParseError, VersionMismatch
 
 
+def number(token: str) -> str:
+    """token itself if it is ASCII and holds no `_`. int() and float() also
+    read other scripts' digits ('١٠') and digit-group underscores ('1_0'),
+    which no number in a manifest, config or model file may hold."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"number {token!r} is not ASCII without '_'")
+    return token
+
+
+def integer(token: str) -> int:
+    return int(number(token))
+
+
+def real(token: str) -> float:
+    return float(number(token))
+
+
 def floats(tokens: list[str], inf: bool = False) -> np.ndarray:
     """The tokens as float64 in one call; refuses NaN, and +-inf unless
     inf is set."""
+    joined = " ".join(tokens)
+    if not joined.isascii() or "_" in joined:
+        for token in tokens:
+            number(token)  # raises, naming the first bad token
     values = np.array(tokens, dtype=np.float64)
     if (np.isnan(values) if inf else ~np.isfinite(values)).any():
         raise ValueError("non-finite value")
@@ -37,9 +59,10 @@ def finite_or_inf(token: str) -> float:
 
 
 def count(token: str) -> int:
-    if int(token) < 0:
+    value = integer(token)
+    if value < 0:
         raise ValueError(f"negative count {token}")
-    return int(token)
+    return value
 
 
 def format_floats(*values: float) -> str:

@@ -317,6 +317,35 @@ class TestExitCodes:
         assert "NUL byte" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("line", [
+        "pca_k = \u0661", "svm_c = 1_0", "eye_window = \uff11\uff10 20 80 30"],
+        ids=["arabic-indic", "underscore", "fullwidth"])
+    def test_config_number_outside_ascii_is_data_error(self, workdir,
+                                                       tmp_path, line,
+                                                       capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["train", "--manifest",
+                     str(workdir / "data" / "manifest.csv"), "--out-dir",
+                     str(tmp_path / "never"), "--config", str(cfg)]) == 2
+        assert "not ASCII" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("x", ["\u0661\u0660", "1_0", "\uff11\uff10"],
+                             ids=["arabic-indic", "underscore", "fullwidth"])
+    def test_box_outside_ascii_is_data_error(self, workdir, tmp_path, x,
+                                             capsys):
+        data = workdir / "data"
+        header, first = (data / "manifest.csv").read_text().splitlines()[:2]
+        fields = first.split(",")
+        fields[0], fields[3] = str(data / fields[0]), x
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"{header}\n{','.join(fields)}\n")
+        assert main(["train", "--manifest", str(manifest), "--out-dir",
+                     str(tmp_path / "never")]) == 2
+        assert "line 2: bad box" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     def test_model_error(self, workdir):
         bad_model = workdir / "data" / "manifest.csv"  # not a PIPE1 file
         assert main(["eval", "--manifest",

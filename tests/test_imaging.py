@@ -14,6 +14,7 @@ from fatiguedet.errors import (
 from fatiguedet.imaging import (
     Image,
     Rect,
+    clahe_block,
     crop,
     denoise,
     enhance_contrast,
@@ -25,6 +26,7 @@ from fatiguedet.imaging import (
     save_pnm,
     to_grayscale,
 )
+from fatiguedet.synth import SyntheticSpec, generate
 
 
 def gray_image(arr) -> Image:
@@ -71,6 +73,14 @@ class TestPnmCodec:
     def test_bad_dimensions(self):
         with pytest.raises(MalformedHeader):
             load_pnm(b"P5 0 1 255 ")
+
+    @pytest.mark.parametrize("header", [
+        b"P5 1_0 1 255 ", b"P5 +10 1 255 ", b"P5 10 1 2_55 ",
+        "P5 \u0661\u0660 1 255 ".encode()],
+        ids=["underscore", "plus", "maxval-underscore", "arabic-indic"])
+    def test_header_number_outside_ascii_digits(self, header):
+        with pytest.raises(MalformedHeader, match="non-numeric"):
+            load_pnm(header + bytes(10))
 
     def test_save_single_pixel_layout(self):
         # forced by the format: header then raw raster byte
@@ -383,6 +393,42 @@ class TestEnhanceContrast:
         assert np.all(out.pixels[arr == 50] == 0)
         assert np.all(out.pixels[arr == 200] == 255)
 
+    @given(small_gray, st.integers(1, 14),
+           st.floats(1.0, 6.0) | st.just(math.inf), st.data())
+    def test_region_reads_only_its_tile_block(self, img, tiles, clip, data):
+        x = data.draw(st.integers(0, img.width - 1))
+        y = data.draw(st.integers(0, img.height - 1))
+        region = Rect(x, y, data.draw(st.integers(1, img.width - x)),
+                      data.draw(st.integers(1, img.height - y)))
+        block = clahe_block(img.width, img.height, tiles, region)
+        assert block.x <= x and block.y <= y
+        assert block.x2 >= region.x2 and block.y2 >= region.y2
+        # every pixel outside the block changed; the region's result not
+        scrambled = 255 - img.pixels
+        scrambled[block.y:block.y2, block.x:block.x2] = \
+            img.pixels[block.y:block.y2, block.x:block.x2]
+        assert enhance_contrast(gray_image(scrambled), tiles, clip,
+                                region) == \
+            crop(enhance_contrast(img, tiles, clip), region)
+
+    @pytest.mark.parametrize("region, tiles, block", [
+        (Rect(36, 36, 88, 88), 8, Rect(20, 20, 120, 120)),
+        (Rect(29, 30, 1, 1), 8, Rect(0, 20, 40, 40)),
+        (Rect(0, 0, 1, 1), 8, Rect(0, 0, 40, 40)),
+        (Rect(159, 0, 1, 160), 8, Rect(140, 0, 20, 160)),
+        (Rect(36, 36, 88, 88), 1, Rect(0, 0, 160, 160)),
+        (Rect(0, 0, 160, 160), 8, Rect(0, 0, 160, 160))])
+    def test_clahe_block_at_working_size(self, region, tiles, block):
+        # 160 px in 8 tiles: edges every 20 px, centers at 9.5, 29.5, ...;
+        # before the first center a pixel's upper tile is tile 1 at weight
+        # 0, and past the last both tiles are tile 7
+        assert clahe_block(160, 160, tiles, region) == block
+
+    def test_region_outside_image(self):
+        with pytest.raises(OutOfBounds):
+            enhance_contrast(gray_image(np.zeros((10, 12))), 4, 2.0,
+                             Rect(9, 0, 4, 4))
+
     @given(small_gray, st.integers(1, 4), st.floats(1.0, 6.0))
     def test_output_range_and_shape(self, img, tiles, clip):
         out = enhance_contrast(img, tiles, clip)
@@ -461,6 +507,55 @@ class TestPreprocess:
         out = preprocess(img, cfg, region)
         assert out == crop(enhanced, region)
         assert out != crop(denoised, region)
+
+    @pytest.mark.parametrize("box", [
+        Rect(0, 0, 40, 40), Rect(120, 0, 40, 40), Rect(0, 120, 40, 40),
+        Rect(120, 120, 40, 40), Rect(36, 36, 88, 88), Rect(29, 30, 41, 40),
+        Rect(30, 29, 40, 41), Rect(20, 40, 40, 20), Rect(0, 29, 160, 2),
+        Rect(29, 0, 2, 160), Rect(0, 0, 1, 1), Rect(159, 159, 1, 1),
+        Rect(29, 30, 1, 1), Rect(80, 80, 1, 1), Rect(0, 0, 160, 160)],
+        ids=["top-left", "top-right", "bottom-left", "bottom-right",
+             "centre", "col-before-centre", "row-before-centre",
+             "tile-edges", "centre-row", "centre-column", "pixel-top-left",
+             "pixel-bottom-right", "pixel-at-centre", "pixel-middle",
+             "whole-frame"])
+    def test_working_size_region_equals_crop(self, box, rng):
+        # 160x160 dim frames with 8 tiles: tile edges every 20 px, tile
+        # centers at 9.5, 29.5, ..., so rows and columns 29 and 30 lie on
+        # either side of a center
+        cfg = imaging.PreprocessConfig(clahe_tiles=8)
+        frames = [rec.image for rec in generate(SyntheticSpec(
+            n_frames=2, light_level="dim", seed=3))]
+        frames.append(gray_image(rng.integers(0, 90, size=(160, 160))))
+        for img in frames:
+            gray = to_grayscale(img)
+            assert gray.width == gray.height == 160
+            assert float(gray.pixels.mean()) < cfg.low_light_threshold
+            assert preprocess(img, cfg, box) == \
+                crop(preprocess(img, cfg), box)
+
+    def test_centred_box_denoises_only_its_tile_block(self, monkeypatch):
+        img = generate(SyntheticSpec(n_frames=1, light_level="dim",
+                                     seed=3))[0].image
+        box, cfg = Rect(36, 36, 88, 88), imaging.PreprocessConfig()
+        expect = crop(preprocess(img, cfg), box)
+        shapes = {"denoise": [], "enhance_contrast": []}
+
+        def spy(name):
+            real = getattr(imaging, name)
+
+            def call(image, *args):
+                shapes[name].append(image.pixels.shape)
+                return real(image, *args)
+            return call
+
+        for name in shapes:
+            monkeypatch.setattr(imaging, name, spy(name))
+        assert preprocess(img, cfg, box) == expect
+        # rows and columns 36..123 read tiles 1..6 (pixels 20..139); the
+        # denoise filter reads 2 more pixels on each side
+        assert shapes == {"denoise": [(124, 124)],
+                          "enhance_contrast": [(160, 160)]}
 
     @pytest.mark.parametrize("low_light", ["on", "off"])
     def test_region_outside_frame(self, low_light):

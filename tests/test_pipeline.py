@@ -223,6 +223,21 @@ class TestIngest:
             "frame_00000.pgm,+1\n")
         assert [r.label for r in ingest(one_frame_dir / "m.csv")] == [1, -1, 1]
 
+    @pytest.mark.parametrize("box", [
+        "\u0661\u0660,10,50,50", "1_0,10,50,50", "10,10,\uff15\uff10,50",
+        "10,10,50,5_0"],
+        ids=["arabic-indic-x", "underscore-x", "fullwidth-w", "underscore-h"])
+    def test_box_outside_ascii_is_manifest_error(self, one_frame_dir, box):
+        (one_frame_dir / "m.csv").write_text(
+            f"frame_00000.pgm,+1,g0,{box}\n")
+        with pytest.raises(ManifestError, match="line 1: bad box.*ASCII"):
+            ingest(one_frame_dir / "m.csv")
+
+    def test_ascii_box_loads(self, one_frame_dir):
+        (one_frame_dir / "m.csv").write_text(
+            "frame_00000.pgm,+1,g0,10, 10,+50,50\n")
+        assert ingest(one_frame_dir / "m.csv")[0].box == Rect(10, 10, 50, 50)
+
     def test_relative_path_resolution(self, tmp_path):
         spec = SyntheticSpec(n_frames=1, seed=1)
         write_dataset(spec, tmp_path / "deep")
@@ -326,6 +341,25 @@ class TestConfig:
     def test_bad_value_is_config_error(self, line):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
+
+    @pytest.mark.parametrize("line", [
+        "pca_k = \u0661\u0660", "pca_k = 1_0", "pca_k = \uff11\uff10",
+        "svm_c = \u0661.\u0665", "svm_c = 1_0.5", "svm_c = \uff11.5",
+        "svm_max_passes = 2_00", "eye_window = \u0661\u0660 20 80 30",
+        "eye_window = 10 2_0 80 30", "eye_window = 10 20 \uff18\uff10 30"],
+        ids=["pca-k-arabic-indic", "pca-k-underscore", "pca-k-fullwidth",
+             "svm-c-arabic-indic", "svm-c-underscore", "svm-c-fullwidth",
+             "svm-max-passes-underscore", "eye-window-arabic-indic",
+             "eye-window-underscore", "eye-window-fullwidth"])
+    def test_number_outside_ascii_is_config_error(self, line):
+        with pytest.raises(ConfigError, match="not ASCII"):
+            parse_config(line + "\n")
+
+    def test_ascii_exponent_and_infinity_parse(self):
+        cfg = parse_config("svm_tol = 1e-3\nsvm_c = 2.5E+1\n"
+                           "clahe_clip_limit = inf\npca_k = +10\n")
+        assert (cfg.svm_tol, cfg.svm_c, cfg.pca_k) == (1e-3, 25.0, 10)
+        assert cfg.preprocess.clahe_clip_limit == math.inf
 
     @pytest.mark.parametrize("text", [
         "sample_period = 5e-324\n",
@@ -609,10 +643,15 @@ class TestPipe1Codec:
         ("min_neighbors = 3\n", "min_neighbors = 3\nmystery = 1\n"),
         ("low_light = auto\n", "low_light = bogus\n"),
         ("min_neighbors = 3\n", "min_neighbors = 0\n"),
-        ("clahe_tiles = 8\n", "clahe_tiles = 3\nclahe_tiles = 8\n")],
+        ("clahe_tiles = 8\n", "clahe_tiles = 3\nclahe_tiles = 8\n"),
+        ("clahe_tiles = 8\n", "clahe_tiles = \u0668\n"),
+        ("face_side = 100\n", "face_side = 1_00\n"),
+        ("min_neighbors = 3\n", "min_neighbors = \uff13\n")],
         ids=["missing-geometry", "missing-preprocess", "missing-scan",
              "unknown-geometry", "unknown-preprocess", "unknown-scan",
-             "bad-low-light", "bad-min-neighbors", "repeated-preprocess"])
+             "bad-low-light", "bad-min-neighbors", "repeated-preprocess",
+             "arabic-indic-preprocess", "underscore-geometry",
+             "fullwidth-scan"])
     def test_bad_section_key_is_parse_error(self, model, face_cascade,
                                             old, new):
         text = save_pipeline(PipelineModel(

@@ -173,7 +173,14 @@ class TestMalformed:
                         "END\n"),
         (load_pipeline, PIPE_TEXT.replace("STAGE 2", "STAGE 1")),
         (load_pipeline, PIPE_TEXT.replace("min_neighbors = 3\nEND\n",
-                                          "min_neighbors = 3\n"))],
+                                          "min_neighbors = 3\n")),
+        (load_pca, PCA_TEXT.replace("PCA1 3 2", "PCA1 \u0663 2")),
+        (load_svm, SVM_TEXT.replace("1.0 rbf", "1_0.0 rbf")),
+        (load_cascade, "CASCADE1 2_4 24 1\nSTAGE 1 0.5\n" + WEAK),
+        (load_cascade, "CASCADE1 24 24 1\nSTAGE 1 0.5\n"
+                       + WEAK.replace("12 12", "\uff11\uff12 12")),
+        (load_pipeline, PIPE_TEXT.replace("face_side = 4",
+                                          "face_side = \u0664"))],
         ids=["pca-negative-count", "svm-negative-count", "pca-extra-field",
              "pca-extra-row", "svm-linear-with-gamma",
              "svm-rbf-without-gamma", "svm-trailing-line",
@@ -183,7 +190,9 @@ class TestMalformed:
              "cascade-negative-weak-count", "pipe-extra-field",
              "pipe-negative-pca-count", "pipe-unknown-section",
              "pipe-repeated-section", "pipe-cascade-trailing-weak",
-             "pipe-scan-swallows-cascade"])
+             "pipe-scan-swallows-cascade", "pca-arabic-indic-count",
+             "svm-underscore-float", "cascade-underscore-width",
+             "cascade-fullwidth-rect", "pipe-arabic-indic-setting"])
     def test_parse_error(self, load, text):
         with pytest.raises(ParseError):
             load(text)
