@@ -32,6 +32,7 @@ from .pipeline import (
     save_pipeline,
 )
 from .synth import SyntheticSpec, train_face_cascade, write_dataset
+from .textmodel import integer, real
 
 logger = logging.getLogger(__name__)
 
@@ -52,10 +53,7 @@ def _load_config(args) -> PipelineConfig:
     config key and which was given."""
     cfg = PipelineConfig()
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise DataError(f"config file {path} does not exist")
-        cfg = parse_config(read_text(path, ConfigError), cfg)
+        cfg = parse_config(read_text(args.config, ConfigError), cfg)
     overrides = "".join(f"{key} = {value}\n"
                         for key, value in vars(args).items()
                         if key in CONFIG_KEYS and value is not None)
@@ -100,10 +98,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise ModelError(f"model file {p} does not exist")
-    return load_pipeline(read_text(p, ParseError))
+    return load_pipeline(read_text(path, ParseError))
 
 
 def cmd_eval(args) -> int:
@@ -123,9 +118,9 @@ def cmd_simulate(args) -> int:
     model = _load_model(args.model)
     records = ingest(args.manifest)
     frames = [r.load_image() for r in records]
-    boxes = [r.box for r in records] if model.cascade is None else None
     stream = infer_stream(model, frames, cfg.alert,
-                          no_face_policy=cfg.no_face_policy, boxes=boxes)
+                          no_face_policy=cfg.no_face_policy,
+                          boxes=[r.box for r in records])
     text = stream.render()
     if args.out:
         Path(args.out).write_text(text)
@@ -138,7 +133,7 @@ def cmd_simulate(args) -> int:
 
 def _stage_rounds(text: str) -> tuple[int, ...]:
     try:
-        rounds = tuple(int(v) for v in text.split(","))
+        rounds = tuple(integer(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
@@ -150,7 +145,7 @@ def _stage_rounds(text: str) -> tuple[int, ...]:
 
 def _int_at_least(low: int):
     def parse(text: str) -> int:
-        value = int(text)
+        value = integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, "
                                              f"got {text!r}")
@@ -161,7 +156,7 @@ def _int_at_least(low: int):
 
 
 def _rate(text: str) -> float:
-    value = float(text)
+    value = real(text)
     if not 0 < value <= 1:
         raise argparse.ArgumentTypeError(f"expected a rate in (0, 1], "
                                          f"got {text!r}")
@@ -192,14 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[], help="generate synthetic frames")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n-frames", type=int, default=100)
-    p.add_argument("--fraction-fatigued", type=float, default=0.5)
-    p.add_argument("--frame-w", type=int, default=160)
-    p.add_argument("--frame-h", type=int, default=160)
-    p.add_argument("--jitter", type=int, default=6)
-    p.add_argument("--noise-sigma", type=float, default=8.0)
+    p.add_argument("--n-frames", type=integer, default=100)
+    p.add_argument("--fraction-fatigued", type=real, default=0.5)
+    p.add_argument("--frame-w", type=integer, default=160)
+    p.add_argument("--frame-h", type=integer, default=160)
+    p.add_argument("--jitter", type=integer, default=6)
+    p.add_argument("--noise-sigma", type=real, default=8.0)
     p.add_argument("--light", choices=["normal", "dim"], default="normal")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="fit the PCA+SVM pipeline")
@@ -208,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--detector", dest="cascade_path",
                    help="cascade file, or 'off'")
-    p.add_argument("--pca-k", dest="pca_k", type=int)
-    p.add_argument("--pca-variance", dest="pca_variance", type=float)
-    p.add_argument("--svm-c", dest="svm_c", type=float)
+    p.add_argument("--pca-k", dest="pca_k", type=integer)
+    p.add_argument("--pca-variance", dest="pca_variance", type=real)
+    p.add_argument("--svm-c", dest="svm_c", type=real)
     p.add_argument("--svm-kernel", dest="svm_kernel",
                    choices=["linear", "rbf"])
-    p.add_argument("--svm-gamma", dest="svm_gamma", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--svm-gamma", dest="svm_gamma", type=real)
+    p.add_argument("--seed", type=integer)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="cross-validated metrics")
@@ -230,13 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--config")
-    p.add_argument("--t-low", dest="t_low", type=int)
-    p.add_argument("--t-high", dest="t_high", type=int)
-    p.add_argument("--alarm-duration", dest="alarm_duration", type=float)
-    p.add_argument("--high-persist", dest="high_persist", type=float)
+    p.add_argument("--t-low", dest="t_low", type=integer)
+    p.add_argument("--t-high", dest="t_high", type=integer)
+    p.add_argument("--alarm-duration", dest="alarm_duration", type=real)
+    p.add_argument("--high-persist", dest="high_persist", type=real)
     p.add_argument("--water-spray", dest="water_spray",
                    action="store_const", const="on")
-    p.add_argument("--sample-period", dest="sample_period", type=float)
+    p.add_argument("--sample-period", dest="sample_period", type=real)
     p.add_argument("--no-face-policy", dest="no_face_policy",
                    choices=["skip", "fatigued"])
     p.add_argument("--out", help="trace output path (default stdout)")

@@ -40,6 +40,9 @@ _KIND_CELLS = {
 }
 KINDS = tuple(_KIND_CELLS)
 
+WINDOW = 24  # side of the square base window cascades are trained at
+_MIN_NEGATIVES = 50  # train_cascade tops a stage's survivors up to this
+
 
 @dataclass(frozen=True)
 class HaarFeature:
@@ -405,7 +408,7 @@ def boost(values: np.ndarray, labels: np.ndarray,
 # ---------------------------------------------------------------------------
 # Stage and cascade training
 
-def feature_grid(base_w: int = 24, base_h: int = 24,
+def feature_grid(base_w: int = WINDOW, base_h: int = WINDOW,
                  step: int = 2) -> list[HaarFeature]:
     """Coarse feature pool: all kinds, positions and sizes in `step` px."""
     pool: list[HaarFeature] = []
@@ -462,8 +465,7 @@ def stage_scores(stage: Stage, values_by_weak: np.ndarray) -> np.ndarray:
 def train_stage(positives: Sequence[IntegralImage],
                 negatives: Sequence[IntegralImage], rounds: int,
                 target_detection_rate: float = 0.995,
-                features: Sequence[HaarFeature] | None = None,
-                base_w: int = 24, base_h: int = 24) -> Stage:
+                features: Sequence[HaarFeature] | None = None) -> Stage:
     """Boost `rounds` decision stumps, then lower the stage threshold from
     half the total vote until the stage passes the target share of
     positives."""
@@ -472,12 +474,12 @@ def train_stage(positives: Sequence[IntegralImage],
     if not 0 < target_detection_rate <= 1:
         raise ValueError("target_detection_rate must be in (0, 1]")
     if features is None:
-        features = feature_grid(base_w, base_h)
+        features = feature_grid()
     if not features:
         raise NoFeatures("empty feature pool")
     windows = list(positives) + list(negatives)
     labels = np.array([1] * len(positives) + [-1] * len(negatives))
-    values = feature_value_matrix(windows, features, base_w, base_h)
+    values = feature_value_matrix(windows, features, WINDOW, WINDOW)
     result = boost(values, labels, rounds)
     weak = tuple(
         (WeakClassifier(features[r.feature_index], r.threshold, r.polarity),
@@ -497,30 +499,28 @@ def train_cascade(positives: Sequence[IntegralImage],
                   negatives: Sequence[IntegralImage],
                   stage_rounds: Sequence[int],
                   target_detection_rate: float = 0.995,
-                  features: Sequence[HaarFeature] | None = None,
-                  base_w: int = 24, base_h: int = 24,
-                  min_negatives: int = 50) -> Cascade:
+                  features: Sequence[HaarFeature] | None = None) -> Cascade:
     """Train stages in sequence on the negatives each cascade prefix still
     accepts (its false positives). When too few survive, the pool is topped
     up with the rejected negatives scoring closest to the stage threshold,
     so later stages keep refining the boundary."""
     if features is None:
-        features = feature_grid(base_w, base_h)
+        features = feature_grid()
     remaining = list(negatives)
     stages: list[Stage] = []
     for rounds in stage_rounds:
         stage = train_stage(positives, remaining, rounds,
-                            target_detection_rate, features, base_w, base_h)
+                            target_detection_rate, features)
         stages.append(stage)
         feats = [weak.feature for weak, _ in stage.weak]
-        values = feature_value_matrix(remaining, feats, base_w, base_h)
+        values = feature_value_matrix(remaining, feats, WINDOW, WINDOW)
         scores = stage_scores(stage, values)
         order = np.argsort(-scores, kind="stable")
         accepted = [i for i in order if scores[i] >= stage.threshold]
-        if len(accepted) < min_negatives:
-            accepted = list(order[:min(min_negatives, len(remaining))])
+        if len(accepted) < _MIN_NEGATIVES:
+            accepted = list(order[:min(_MIN_NEGATIVES, len(remaining))])
         remaining = [remaining[i] for i in sorted(accepted)]
-    return Cascade(base_w, base_h, tuple(stages))
+    return Cascade(WINDOW, WINDOW, tuple(stages))
 
 
 # ---------------------------------------------------------------------------

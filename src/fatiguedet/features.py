@@ -168,31 +168,26 @@ def pca_fit(samples: np.ndarray, k: int | None = None,
     vecs = vecs[:, order]
     cutoff = lam[0] * 1e-12
     rank = int(np.count_nonzero(lam > cutoff))
-    lam[lam <= cutoff] = 0.0
 
     if k is not None and k > rank:
         raise BadK(f"k={k} exceeds the data rank {rank}")
-    if n <= d:
-        # Gram trick: only eigenvectors with positive eigenvalue map back
-        # to unit d-space directions
-        back = centered.T @ vecs[:, :rank]
-        back /= np.sqrt((back * back).sum(axis=0))
-        components_full = back.T
-    else:
-        components_full = vecs.T[:rank]
-    lam_avail = lam[:rank]
-
     if k is None:
-        cum = np.cumsum(lam_avail)
+        cum = np.cumsum(lam[:rank])
         total = cum[-1] if len(cum) else 0.0
         if total <= 0:
             raise DegenerateData("total variance is zero")
-        k = int(np.searchsorted(cum, variance * total) + 1)
-        k = min(k, len(lam_avail))
+        k = min(int(np.searchsorted(cum, variance * total) + 1), rank)
 
-    return PcaModel(mean=mean.copy(),
-                    components=_fix_signs(components_full[:k]),
-                    eigenvalues=lam_avail[:k].copy())
+    if n <= d:
+        # Gram trick: only eigenvectors with positive eigenvalue map back
+        # to unit d-space directions, and only the k kept ones are mapped
+        back = centered.T @ vecs[:, :k]
+        back /= np.sqrt((back * back).sum(axis=0))
+        components = back.T
+    else:
+        components = vecs.T[:k]
+    return PcaModel(mean=mean.copy(), components=_fix_signs(components),
+                    eigenvalues=lam[:k].copy())
 
 
 def pca_project(model: PcaModel, v: np.ndarray) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Grayscale/RGB image substrate: binary PNM codec, grayscale conversion,
 bilinear resizing, integral images, and the denoise-then-enhance
 preprocessing chain: a table-driven 5x5 bilateral filter and tile CLAHE
-built in one pass. Given a region, preprocessing denoises only the pixels
-the region reads, grown by the filter's 2-pixel halo: the region itself, or
-with enhancement the block of CLAHE tiles it interpolates from, whose
-tables alone are built.
+built in one pass. Every step of the chain takes an optional region and
+returns exactly the crop of its whole-image result to that region, reading
+only the pixels that crop depends on.
 
 All operations are pure; Image values are immutable after construction.
 """
@@ -291,7 +290,7 @@ def rect_sum(ii: IntegralImage, rect: Rect) -> int:
 # Preprocessing chain
 
 def denoise(img: Image, spatial_sigma: float = 1.5,
-            range_sigma: float = 30.0) -> Image:
+            range_sigma: float = 30.0, region: Rect | None = None) -> Image:
     """Edge-preserving bilateral smoothing over a 5x5 neighborhood.
 
     Each output pixel is the weighted mean of its neighborhood, with weight
@@ -299,13 +298,22 @@ def denoise(img: Image, spatial_sigma: float = 1.5,
     clamp-replicated. Output is rounded half up. The range weight depends
     only on |I(p)-I(q)| in 0..255, so each offset reads its weights from a
     256-entry table holding the same float products.
+
+    With a region the result is crop(denoise(img, ...), region), read from
+    the region grown by the filter's 2-pixel reach alone. No region is the
+    whole image.
     """
     if img.channels != GRAY:
         raise ValueError("denoise expects a grayscale image")
     if spatial_sigma <= 0 or range_sigma <= 0:
         raise ValueError("sigmas must be positive")
-    levels = np.pad(img.pixels, 2, mode="edge").astype(np.int16)
-    h, w = img.height, img.width
+    if region is None:
+        region = Rect(0, 0, img.width, img.height)
+    _check_inside(region, img.width, img.height)
+    # the edge padding is the border clamp
+    levels = np.pad(img.pixels, 2, mode="edge")[
+        region.y:region.y2 + 4, region.x:region.x2 + 4].astype(np.int16)
+    h, w = region.h, region.w
     center = levels[2:2 + h, 2:2 + w]
     num = np.zeros((h, w))
     den = np.zeros((h, w))
@@ -450,36 +458,25 @@ def preprocess(img: Image, config: PreprocessConfig = DEFAULT_PREPROCESS,
     Denoising always precedes enhancement so noise is removed before any
     amplification. Enhancement runs when low_light is "on", or in "auto"
     mode when the mean intensity of the whole grayscale frame is below the
-    threshold. A region's pixels read only the denoised pixels of the
-    region itself, or with enhancement of its clahe_block (tile bounds cut
-    from the whole frame), and those read only the pixels within the
-    filter's 2-pixel reach. So only that block grown by 2 pixels, clipped
-    at the frame border where the clamp applies, is denoised, and with
-    enhancement only the block's tiles are equalized.
+    threshold. Each step is given the region it must produce: denoise the
+    region, or with enhancement the region's clahe_block, which
+    enhance_contrast reads to produce the region.
     """
     gray = to_grayscale(img)
-    frame = Rect(0, 0, gray.width, gray.height)
     if region is None:
-        region = frame
+        region = Rect(0, 0, gray.width, gray.height)
     _check_inside(region, gray.width, gray.height)
     enhance = config.low_light == "on" or (
         config.low_light == "auto"
         and float(gray.pixels.mean()) < config.low_light_threshold)
-    reads = clahe_block(gray.width, gray.height, config.clahe_tiles,
-                        region) if enhance else region
-    x0, y0 = max(reads.x - 2, 0), max(reads.y - 2, 0)
-    halo = Rect(x0, y0, min(reads.x2 + 2, gray.width) - x0,
-                min(reads.y2 + 2, gray.height) - y0)
-    out = denoise(gray if halo == frame else crop(gray, halo),
-                  config.denoise_spatial_sigma, config.denoise_range_sigma)
-    if enhance:
-        if halo != frame:  # put the block where enhance_contrast reads it
-            pixels = np.zeros((gray.height, gray.width), dtype=np.uint8)
-            pixels[reads.y:reads.y2, reads.x:reads.x2] = out.pixels[
-                reads.y - y0:reads.y2 - y0, reads.x - x0:reads.x2 - x0]
-            out = Image(gray.width, gray.height, GRAY, pixels)
-        return enhance_contrast(out, config.clahe_tiles,
-                                config.clahe_clip_limit, region)
-    if region == frame:
-        return out
-    return crop(out, Rect(region.x - x0, region.y - y0, region.w, region.h))
+    sigmas = config.denoise_spatial_sigma, config.denoise_range_sigma
+    if not enhance:
+        return denoise(gray, *sigmas, region)
+    block = clahe_block(gray.width, gray.height, config.clahe_tiles, region)
+    # enhance_contrast reads the block where it lies in the frame
+    pixels = np.zeros((gray.height, gray.width), dtype=np.uint8)
+    pixels[block.y:block.y2, block.x:block.x2] = denoise(
+        gray, *sigmas, block).pixels
+    return enhance_contrast(Image(gray.width, gray.height, GRAY, pixels),
+                            config.clahe_tiles, config.clahe_clip_limit,
+                            region)

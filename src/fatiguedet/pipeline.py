@@ -48,11 +48,14 @@ logger = logging.getLogger(__name__)
 # Input files
 
 def read_text(path: str | Path, error: type[FatigueDetError]) -> str:
-    """The text of a file; bytes that do not decode raise `error`."""
+    """The text of a file; a file that cannot be read or whose bytes do not
+    decode raises `error`."""
     try:
         return Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not text: {exc}") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
 
 
 @dataclass(frozen=True)

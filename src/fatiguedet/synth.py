@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .detector import WINDOW, feature_grid, train_cascade
 from .imaging import Image, Rect, iround, save_pnm
 
 BACKGROUND = 40.0
@@ -147,17 +148,15 @@ def generate(spec: SyntheticSpec) -> list[FrameRecord]:
     return records
 
 
-def detector_windows(records: list[FrameRecord], seed: int = 0,
-                     window: int = 24, pos_augment: int = 2,
-                     background_per_frame: int = 3,
-                     face_part_per_frame: int = 8,
-                     ) -> tuple[list, list]:
+def detector_windows(records: list[FrameRecord],
+                     seed: int = 0) -> tuple[list, list]:
     """Build positive/negative integral windows for cascade training.
 
-    Positives are the ground-truth face boxes plus jittered/rescaled copies
-    (so stump thresholds tolerate scan-grid quantization). Negatives mix
-    background crops, small windows scattered over the face region (head-rim
-    and part patterns, the main false-positive source), and flat fills.
+    Positives are each ground-truth face box plus two jittered/rescaled
+    copies (so stump thresholds tolerate scan-grid quantization). Negatives
+    mix up to three background crops per frame, up to eight small windows
+    scattered over the face region (head-rim and part patterns, the main
+    false-positive source), and flat fills.
     """
     from .imaging import crop, integral_image, resize_bilinear
 
@@ -165,8 +164,8 @@ def detector_windows(records: list[FrameRecord], seed: int = 0,
     pos, neg = [], []
 
     def window_ii(img: Image, rect: Rect):
-        return integral_image(resize_bilinear(crop(img, rect), window,
-                                              window))
+        return integral_image(resize_bilinear(crop(img, rect), WINDOW,
+                                              WINDOW))
 
     for rec in records:
         img, b = rec.image, rec.box
@@ -177,7 +176,7 @@ def detector_windows(records: list[FrameRecord], seed: int = 0,
                         max(0, min(y, fh - side)), side, side)
 
         pos.append(window_ii(img, b))
-        for _ in range(pos_augment):
+        for _ in range(2):
             scale = float(rng.uniform(0.92, 1.12))
             side = iround(b.w * scale)
             dx = int(rng.integers(-4, 5))
@@ -185,14 +184,14 @@ def detector_windows(records: list[FrameRecord], seed: int = 0,
             pos.append(window_ii(img, clamped(
                 b.x + dx + (b.w - side) // 2,
                 b.y + dy + (b.h - side) // 2, side)))
-        for _ in range(background_per_frame):
-            side = int(rng.integers(window, min(fw, fh) * 2 // 3))
+        for _ in range(3):
+            side = int(rng.integers(WINDOW, min(fw, fh) * 2 // 3))
             rect = Rect(int(rng.integers(0, fw - side + 1)),
                         int(rng.integers(0, fh - side + 1)), side, side)
             if rect.iou(b) < 0.2:
                 neg.append(window_ii(img, rect))
-        for _ in range(face_part_per_frame):
-            side = int(rng.integers(max(12, window * 3 // 4),
+        for _ in range(8):
+            side = int(rng.integers(max(12, WINDOW * 3 // 4),
                                     max(20, b.w * 3 // 5)))
             fx = float(rng.uniform(0.0, 1.0))
             fy = float(rng.uniform(0.0, 1.0))
@@ -202,7 +201,7 @@ def detector_windows(records: list[FrameRecord], seed: int = 0,
                 neg.append(window_ii(img, rect))
     for value in (0, 60, 128, 200, 255):
         flat = Image.from_array(
-            np.full((window, window), value, dtype=np.uint8))
+            np.full((WINDOW, WINDOW), value, dtype=np.uint8))
         neg.append(integral_image(flat))
     return pos, neg
 
@@ -210,20 +209,14 @@ def detector_windows(records: list[FrameRecord], seed: int = 0,
 def train_face_cascade(n_frames: int = 120, seed: int = 0,
                        stage_rounds: tuple[int, ...] = (4, 10),
                        target_detection_rate: float = 0.99,
-                       feature_step: int = 2, window: int = 24,
-                       spec: SyntheticSpec | None = None):
+                       feature_step: int = 2):
     """Train the desk-scale synthetic face cascade end to end."""
-    from .detector import feature_grid, train_cascade
-
-    if spec is None:
-        spec = SyntheticSpec(n_frames=n_frames, fraction_fatigued=0.5,
-                             seed=seed)
-    records = generate(spec)
-    pos, neg = detector_windows(records, seed=seed + 1, window=window)
-    pool = feature_grid(window, window, feature_step)
+    records = generate(SyntheticSpec(n_frames=n_frames, fraction_fatigued=0.5,
+                                     seed=seed))
+    pos, neg = detector_windows(records, seed=seed + 1)
     return train_cascade(pos, neg, stage_rounds=list(stage_rounds),
                          target_detection_rate=target_detection_rate,
-                         features=pool, base_w=window, base_h=window)
+                         features=feature_grid(step=feature_step))
 
 
 def write_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:

@@ -208,6 +208,46 @@ class TestExitCodes:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["\u0661\u0660", "\uff11\uff10", "1_0"],
+                             ids=["arabic-indic", "fullwidth", "underscore"])
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--pca-k"), ("simulate", "--t-low"), ("eval", "--folds"),
+        ("synth", "--n-frames"), ("detect-train", "--stage-rounds")])
+    def test_number_outside_ascii_is_usage_error(self, small, command, flag,
+                                                 value, capsys):
+        # numbers on the command line follow the rule config files follow
+        out = small / "never"
+        manifest = str(small / "data" / "manifest.csv")
+        model = str(small / "models" / "model.pipe1")
+        argv = {"train": ["--manifest", manifest, "--out-dir", str(out)],
+                "simulate": ["--manifest", manifest, "--model", model,
+                             "--out", str(out)],
+                "eval": ["--manifest", manifest, "--model", model,
+                         "--json-out", str(out)],
+                "synth": ["--out", str(out)],
+                "detect-train": ["--out", str(out)]}[command]
+        assert main([command] + argv + [flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, code", [
+        ("--detector", 3), ("--model", 3), ("--config", 2)])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_file_is_typed_error(self, small, tmp_path, flag,
+                                            code, kind, capsys):
+        # model and cascade files are model files (3), config files data (2)
+        path = tmp_path / "ghost" if kind == "missing" else tmp_path
+        manifest = str(small / "data" / "manifest.csv")
+        never = tmp_path / "never"
+        if flag == "--model":
+            argv = ["eval", "--manifest", manifest, "--model", str(path)]
+        else:
+            argv = ["train", "--manifest", manifest, "--out-dir", str(never),
+                    flag, str(path)]
+        assert main(argv) == code
+        assert f"cannot read {path}" in capsys.readouterr().err
+        assert not never.exists()
+
     def test_data_error(self, workdir):
         assert main(["train", "--manifest", str(workdir / "ghost.csv"),
                      "--out-dir", str(workdir / "x")]) == 2

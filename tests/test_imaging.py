@@ -303,6 +303,22 @@ class TestDenoise:
         assert denoise(gray_image(pixels), ss, rs) == \
             naive_denoise(pixels, ss, rs)
 
+    @given(small_gray, st.floats(0.5, 5.0), st.floats(1.0, 150.0),
+           st.data())
+    def test_region_reads_only_its_reach(self, img, ss, rs, data):
+        x = data.draw(st.integers(0, img.width - 1))
+        y = data.draw(st.integers(0, img.height - 1))
+        region = Rect(x, y, data.draw(st.integers(1, img.width - x)),
+                      data.draw(st.integers(1, img.height - y)))
+        expect = crop(denoise(img, ss, rs), region)
+        assert denoise(img, ss, rs, region) == expect
+        # every pixel more than 2 away from the region changed; the result
+        # not
+        reach = np.s_[max(y - 2, 0):region.y2 + 2, max(x - 2, 0):region.x2 + 2]
+        scrambled = 255 - img.pixels
+        scrambled[reach] = img.pixels[reach]
+        assert denoise(gray_image(scrambled), ss, rs, region) == expect
+
     @given(small_gray)
     def test_shape_and_range(self, img):
         out = denoise(img)
@@ -539,23 +555,24 @@ class TestPreprocess:
                                      seed=3))[0].image
         box, cfg = Rect(36, 36, 88, 88), imaging.PreprocessConfig()
         expect = crop(preprocess(img, cfg), box)
-        shapes = {"denoise": [], "enhance_contrast": []}
+        seen = {"denoise": [], "enhance_contrast": []}
 
-        def spy(name):
+        def spy(name, note):
             real = getattr(imaging, name)
 
             def call(image, *args):
-                shapes[name].append(image.pixels.shape)
+                seen[name].append(note(image, args))
                 return real(image, *args)
             return call
 
-        for name in shapes:
-            monkeypatch.setattr(imaging, name, spy(name))
+        monkeypatch.setattr(imaging, "denoise", spy(
+            "denoise", lambda image, args: args[2]))
+        monkeypatch.setattr(imaging, "enhance_contrast", spy(
+            "enhance_contrast", lambda image, args: image.pixels.shape))
         assert preprocess(img, cfg, box) == expect
-        # rows and columns 36..123 read tiles 1..6 (pixels 20..139); the
-        # denoise filter reads 2 more pixels on each side
-        assert shapes == {"denoise": [(124, 124)],
-                          "enhance_contrast": [(160, 160)]}
+        # rows and columns 36..123 read tiles 1..6 (pixels 20..139)
+        assert seen == {"denoise": [Rect(20, 20, 120, 120)],
+                        "enhance_contrast": [(160, 160)]}
 
     @pytest.mark.parametrize("low_light", ["on", "off"])
     def test_region_outside_frame(self, low_light):
