@@ -25,19 +25,32 @@ cascade, trace and cross-validation report files and compute the same
 training values, which is how a refactor or a scan change shows that it
 changed no output.
 
+Model bytes are reproducible for a given BLAS thread count: the
+`np.linalg.eigh` call of the PCA fit rounds its last bits differently with
+the number of threads. The script therefore pins BLAS and OpenMP to one
+thread before numpy is imported, as the benchmark does, so its digests do
+not depend on the machine's core count or the caller's environment.
+
     PYTHONPATH=src python3 scripts/model_digests.py
 """
 
 import contextlib
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-from fatiguedet.cli import main as cli_main
-from fatiguedet.detector import feature_grid, feature_value_matrix
-from fatiguedet.synth import SyntheticSpec, detector_windows, generate, \
-    write_dataset
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402  (imported after the thread pin)
+
+from fatiguedet.cli import main as cli_main  # noqa: E402
+from fatiguedet.detector import (  # noqa: E402
+    feature_grid, feature_value_matrix)
+from fatiguedet.synth import (  # noqa: E402
+    SyntheticSpec, detector_windows, generate, write_dataset)
 
 FILES = ("model.pca1", "model.svm1", "model.pipe1", "trace.txt",
          "trace_spray.txt", "cascade.txt", "detector/model.pipe1",
@@ -60,7 +73,8 @@ def feature_values_digest() -> str:
     records = generate(SyntheticSpec(n_frames=60, fraction_fatigued=0.5,
                                      seed=7))
     pos, neg = detector_windows(records, seed=8)
-    values = feature_value_matrix(pos + neg, feature_grid(24, 24, 3), 24, 24)
+    values = feature_value_matrix(np.concatenate([pos, neg]),
+                                  feature_grid(24, 24, 3))
     return hashlib.sha256(values.tobytes()).hexdigest()
 
 

@@ -8,8 +8,9 @@ One table of flat corner offsets (`y * stride + x`) per feature set, scale
 and integral-image row stride serves the scan and training alike, and one
 scorer turns the corner reads into feature values. `detect` compiles the
 cascade once per scale and frame stride and reads all corners of a stage
-with one `take` per window origin; training stacks its base-size windows on
-the last axis and reads a row of windows per offset. The corner reads
+with one `take` per window origin. Training takes its windows as an
+(n, h, w) uint8 stack, sums the whole stack with the window on the last
+axis and reads a row of windows per offset. The corner reads
 index the integral image without bounds checks, so they need every window
 inside the image (`detect` only scans such windows) and every feature rect
 inside the base window (`load_cascade` rejects any other).
@@ -25,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInput, ImageTooSmall, NoFeatures
-from .imaging import Image, IntegralImage, Rect, integral_image, iround
+from .imaging import Image, IntegralImage, Rect, integral_image, iround, \
+    summed_areas
 from .textmodel import ModelText, count, finite, finite_or_inf, \
     format_floats, integer, render
 
@@ -40,7 +42,6 @@ _KIND_CELLS = {
 }
 KINDS = tuple(_KIND_CELLS)
 
-WINDOW = 24  # side of the square base window cascades are trained at
 _MIN_NEGATIVES = 50  # train_cascade tops a stage's survivors up to this
 
 
@@ -408,8 +409,7 @@ def boost(values: np.ndarray, labels: np.ndarray,
 # ---------------------------------------------------------------------------
 # Stage and cascade training
 
-def feature_grid(base_w: int = WINDOW, base_h: int = WINDOW,
-                 step: int = 2) -> list[HaarFeature]:
+def feature_grid(base_w: int, base_h: int, step: int) -> list[HaarFeature]:
     """Coarse feature pool: all kinds, positions and sizes in `step` px."""
     pool: list[HaarFeature] = []
     for kind, (cols, rows, _) in _KIND_CELLS.items():
@@ -422,22 +422,17 @@ def feature_grid(base_w: int = WINDOW, base_h: int = WINDOW,
     return pool
 
 
-def feature_value_matrix(windows: Sequence[IntegralImage],
-                         features: Sequence[HaarFeature], base_w: int,
-                         base_h: int) -> np.ndarray:
-    """Variance-normalized feature values, shape (n windows, n features)."""
-    for ii in windows:
-        if ii.width != base_w or ii.height != base_h:
-            raise ValueError(
-                f"window is {ii.width}x{ii.height}, expected "
-                f"{base_w}x{base_h}")
+def feature_value_matrix(windows: np.ndarray,
+                         features: Sequence[HaarFeature]) -> np.ndarray:
+    """Variance-normalized feature values of an (n, h, w) stack of windows,
+    shape (n windows, n features)."""
+    n, h, w = windows.shape
     # one row of windows per flat offset
-    n = len(windows)
-    sums = np.stack([ii.sums for ii in windows], axis=-1).reshape(-1, n)
-    squares = np.stack([ii.squares for ii in windows], axis=-1).reshape(-1, n)
-    stride = base_w + 1
-    window = _flat_offsets([(0, 0, base_w, base_h)], stride)
-    div = _window_divisor(sums[window], squares[window], base_w * base_h)
+    sums, squares = summed_areas(windows.transpose(1, 2, 0)).reshape(
+        2, (h + 1) * (w + 1), n)
+    stride = w + 1
+    window = _flat_offsets([(0, 0, w, h)], stride)
+    div = _window_divisor(sums[window], squares[window], w * h)
     out = np.empty((n, len(features)))
     for lo in range(0, len(features), _CHUNK):
         table = _feature_table(features[lo:lo + _CHUNK], 1.0, stride)
@@ -462,24 +457,21 @@ def stage_scores(stage: Stage, values_by_weak: np.ndarray) -> np.ndarray:
     return total
 
 
-def train_stage(positives: Sequence[IntegralImage],
-                negatives: Sequence[IntegralImage], rounds: int,
-                target_detection_rate: float = 0.995,
-                features: Sequence[HaarFeature] | None = None) -> Stage:
-    """Boost `rounds` decision stumps, then lower the stage threshold from
-    half the total vote until the stage passes the target share of
-    positives."""
-    if not positives or not negatives:
+def train_stage(positives: np.ndarray, negatives: np.ndarray, rounds: int,
+                target_detection_rate: float,
+                features: Sequence[HaarFeature]) -> Stage:
+    """Boost `rounds` decision stumps on two (n, h, w) window stacks, then
+    lower the stage threshold from half the total vote until the stage
+    passes the target share of positives."""
+    if not len(positives) or not len(negatives):
         raise EmptyInput("need both positive and negative windows")
     if not 0 < target_detection_rate <= 1:
         raise ValueError("target_detection_rate must be in (0, 1]")
-    if features is None:
-        features = feature_grid()
     if not features:
         raise NoFeatures("empty feature pool")
-    windows = list(positives) + list(negatives)
     labels = np.array([1] * len(positives) + [-1] * len(negatives))
-    values = feature_value_matrix(windows, features, WINDOW, WINDOW)
+    values = feature_value_matrix(np.concatenate([positives, negatives]),
+                                  features)
     result = boost(values, labels, rounds)
     weak = tuple(
         (WeakClassifier(features[r.feature_index], r.threshold, r.polarity),
@@ -495,32 +487,30 @@ def train_stage(positives: Sequence[IntegralImage],
     return Stage(weak, threshold)
 
 
-def train_cascade(positives: Sequence[IntegralImage],
-                  negatives: Sequence[IntegralImage],
-                  stage_rounds: Sequence[int],
-                  target_detection_rate: float = 0.995,
-                  features: Sequence[HaarFeature] | None = None) -> Cascade:
+def train_cascade(positives: np.ndarray, negatives: np.ndarray,
+                  stage_rounds: Sequence[int], target_detection_rate: float,
+                  features: Sequence[HaarFeature]) -> Cascade:
     """Train stages in sequence on the negatives each cascade prefix still
     accepts (its false positives). When too few survive, the pool is topped
     up with the rejected negatives scoring closest to the stage threshold,
-    so later stages keep refining the boundary."""
-    if features is None:
-        features = feature_grid()
-    remaining = list(negatives)
+    so later stages keep refining the boundary. The windows are (n, h, w)
+    stacks, and the cascade's base window is h x w."""
+    remaining = np.arange(len(negatives))  # indices into negatives
     stages: list[Stage] = []
     for rounds in stage_rounds:
-        stage = train_stage(positives, remaining, rounds,
-                            target_detection_rate, features)
+        pool = negatives[remaining]
+        stage = train_stage(positives, pool, rounds, target_detection_rate,
+                            features)
         stages.append(stage)
         feats = [weak.feature for weak, _ in stage.weak]
-        values = feature_value_matrix(remaining, feats, WINDOW, WINDOW)
-        scores = stage_scores(stage, values)
-        order = np.argsort(-scores, kind="stable")
-        accepted = [i for i in order if scores[i] >= stage.threshold]
+        scores = stage_scores(stage, feature_value_matrix(pool, feats))
+        accepted = np.flatnonzero(scores >= stage.threshold)
         if len(accepted) < _MIN_NEGATIVES:
-            accepted = list(order[:min(_MIN_NEGATIVES, len(remaining))])
-        remaining = [remaining[i] for i in sorted(accepted)]
-    return Cascade(WINDOW, WINDOW, tuple(stages))
+            accepted = np.sort(np.argsort(-scores, kind="stable")
+                               [:_MIN_NEGATIVES])
+        remaining = remaining[accepted]
+    _, base_h, base_w = positives.shape
+    return Cascade(base_w, base_h, tuple(stages))
 
 
 # ---------------------------------------------------------------------------

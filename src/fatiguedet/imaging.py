@@ -267,15 +267,22 @@ class IntegralImage:
         self.squares.setflags(write=False)
 
 
+def summed_areas(pixels: np.ndarray) -> np.ndarray:
+    """IntegralImage's sums and squares tables over the first two axes of
+    pixels, as one (2, h+1, w+1, ...) int64 array; further axes index a
+    stack of images, each summed on its own."""
+    p = pixels.astype(np.int64)
+    tables = np.zeros((2, p.shape[0] + 1, p.shape[1] + 1) + p.shape[2:],
+                      dtype=np.int64)
+    for table, values in zip(tables, (p, p * p)):
+        np.cumsum(np.cumsum(values, axis=0), axis=1, out=table[1:, 1:])
+    return tables
+
+
 def integral_image(img: Image) -> IntegralImage:
     if img.channels != GRAY:
         raise ValueError("integral_image expects a grayscale image")
-    p = img.pixels.astype(np.int64)
-    sums = np.zeros((img.height + 1, img.width + 1), dtype=np.int64)
-    squares = np.zeros_like(sums)
-    np.cumsum(np.cumsum(p, axis=0), axis=1, out=sums[1:, 1:])
-    np.cumsum(np.cumsum(p * p, axis=0), axis=1, out=squares[1:, 1:])
-    return IntegralImage(img.width, img.height, sums, squares)
+    return IntegralImage(img.width, img.height, *summed_areas(img.pixels))
 
 
 def rect_sum(ii: IntegralImage, rect: Rect) -> int:

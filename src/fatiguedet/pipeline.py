@@ -5,8 +5,9 @@ the PIPE1 composite model file.
 A fitted pipeline bundles the ROI geometry, preprocessing settings, an
 optional face-detection cascade with its scan settings, the PCA basis, and
 the SVM. Training and inference are byte-reproducible from the inputs and
-config: no step is random, so nothing reads the config `seed` key, which
-stays so that existing config files and `train --seed` still parse.
+config for a given BLAS thread count (the PCA fit's `np.linalg.eigh` rounds
+differently with it). No step is random, so nothing reads the config `seed`
+key, which stays so that existing config files and `train --seed` parse.
 """
 
 from __future__ import annotations

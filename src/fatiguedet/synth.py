@@ -8,7 +8,8 @@ frame carries its ground-truth face box.
 
 Feature placement is tied to the face box so that, after the box is
 normalized to 100x100, the eyes land inside the 80x30 eye window at (10, 20)
-and the mouth inside the 40x40 window at (30, 60).
+and the mouth inside the 40x40 window at (30, 60). The cascade trains on
+WINDOW x WINDOW crops of these frames, cut as uint8 pixel stacks.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import WINDOW, feature_grid, train_cascade
-from .imaging import Image, Rect, iround, save_pnm
+from .detector import feature_grid, train_cascade
+from .imaging import Image, Rect, crop, iround, resize_bilinear, save_pnm
 
 BACKGROUND = 40.0
 HEAD = 200.0
@@ -30,6 +31,7 @@ DIM_FACTOR = 0.35
 
 FACE_FRACTION = 0.55  # face box side relative to min frame dimension
 FATIGUE_MODES = ("eyes_closed", "yawn", "both")
+WINDOW = 24  # side of the square cascade-training windows
 
 # positions/sizes as fractions of the face box side
 _EYE_CENTERS = ((0.30, 0.35), (0.70, 0.35))
@@ -149,8 +151,9 @@ def generate(spec: SyntheticSpec) -> list[FrameRecord]:
 
 
 def detector_windows(records: list[FrameRecord],
-                     seed: int = 0) -> tuple[list, list]:
-    """Build positive/negative integral windows for cascade training.
+                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative cascade-training windows, each an
+    (n, WINDOW, WINDOW) uint8 stack of crops resized to WINDOW x WINDOW.
 
     Positives are each ground-truth face box plus two jittered/rescaled
     copies (so stump thresholds tolerate scan-grid quantization). Negatives
@@ -158,14 +161,11 @@ def detector_windows(records: list[FrameRecord],
     scattered over the face region (head-rim and part patterns, the main
     false-positive source), and flat fills.
     """
-    from .imaging import crop, integral_image, resize_bilinear
-
     rng = np.random.default_rng(seed)
     pos, neg = [], []
 
-    def window_ii(img: Image, rect: Rect):
-        return integral_image(resize_bilinear(crop(img, rect), WINDOW,
-                                              WINDOW))
+    def window(img: Image, rect: Rect) -> np.ndarray:
+        return resize_bilinear(crop(img, rect), WINDOW, WINDOW).pixels
 
     for rec in records:
         img, b = rec.image, rec.box
@@ -175,13 +175,13 @@ def detector_windows(records: list[FrameRecord],
             return Rect(max(0, min(x, fw - side)),
                         max(0, min(y, fh - side)), side, side)
 
-        pos.append(window_ii(img, b))
+        pos.append(window(img, b))
         for _ in range(2):
             scale = float(rng.uniform(0.92, 1.12))
             side = iround(b.w * scale)
             dx = int(rng.integers(-4, 5))
             dy = int(rng.integers(-4, 5))
-            pos.append(window_ii(img, clamped(
+            pos.append(window(img, clamped(
                 b.x + dx + (b.w - side) // 2,
                 b.y + dy + (b.h - side) // 2, side)))
         for _ in range(3):
@@ -189,7 +189,7 @@ def detector_windows(records: list[FrameRecord],
             rect = Rect(int(rng.integers(0, fw - side + 1)),
                         int(rng.integers(0, fh - side + 1)), side, side)
             if rect.iou(b) < 0.2:
-                neg.append(window_ii(img, rect))
+                neg.append(window(img, rect))
         for _ in range(8):
             side = int(rng.integers(max(12, WINDOW * 3 // 4),
                                     max(20, b.w * 3 // 5)))
@@ -198,12 +198,12 @@ def detector_windows(records: list[FrameRecord],
             rect = clamped(iround(b.x + fx * b.w - side / 2),
                            iround(b.y + fy * b.h - side / 2), side)
             if rect.iou(b) < 0.25:
-                neg.append(window_ii(img, rect))
+                neg.append(window(img, rect))
     for value in (0, 60, 128, 200, 255):
-        flat = Image.from_array(
-            np.full((WINDOW, WINDOW), value, dtype=np.uint8))
-        neg.append(integral_image(flat))
-    return pos, neg
+        neg.append(np.full((WINDOW, WINDOW), value, dtype=np.uint8))
+    shape = (-1, WINDOW, WINDOW)  # keeps an empty stack three-dimensional
+    return (np.array(pos, dtype=np.uint8).reshape(shape),
+            np.array(neg, dtype=np.uint8).reshape(shape))
 
 
 def train_face_cascade(n_frames: int = 120, seed: int = 0,
@@ -216,7 +216,7 @@ def train_face_cascade(n_frames: int = 120, seed: int = 0,
     pos, neg = detector_windows(records, seed=seed + 1)
     return train_cascade(pos, neg, stage_rounds=list(stage_rounds),
                          target_detection_rate=target_detection_rate,
-                         features=feature_grid(step=feature_step))
+                         features=feature_grid(WINDOW, WINDOW, feature_step))
 
 
 def write_dataset(spec: SyntheticSpec, out_dir: str | Path) -> Path:

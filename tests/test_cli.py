@@ -77,6 +77,16 @@ class TestTrain:
             assert (workdir / "models" / name).read_bytes() == \
                 (workdir / "m2" / name).read_bytes()
 
+    @pytest.mark.parametrize("value", ["off", "none"])
+    def test_detector_off_trains_without_a_cascade(self, workdir, value):
+        # "off" and "none" are the same model as no --detector at all
+        out = workdir / f"detector-{value}"
+        assert main(["train", "--manifest",
+                     str(workdir / "data" / "manifest.csv"), "--out-dir",
+                     str(out), "--seed", "1", "--detector", value]) == 0
+        assert (out / "model.pipe1").read_bytes() == \
+            (workdir / "models" / "model.pipe1").read_bytes()
+
     def test_accuracy_counts_only_kept_frames(self, workdir, face_cascade,
                                               tmp_path, capsys):
         # a faceless first frame is skipped by the cascade; the accuracy
@@ -151,6 +161,19 @@ class TestDetectTrain:
         cascade = load_cascade(out.read_text())
         assert len(cascade.stages) == 2
         assert (cascade.base_w, cascade.base_h) == (24, 24)
+
+    def test_target_rate_is_applied(self, tmp_path):
+        out = tmp_path / "cascade.txt"
+        argv = ["detect-train", "--out", str(out), "--n-frames", "10",
+                "--stage-rounds", "1", "--feature-step", "6", "--seed", "5"]
+        assert main(argv + ["--target-rate", "0.5"]) == 0
+        half = load_cascade(out.read_text())
+        assert main(argv) == 0
+        default = load_cascade(out.read_text())
+        # the same stump; the lower rate keeps the half-vote threshold,
+        # which some positives fail, where 0.99 lowers it to pass them
+        assert half.stages[0].weak == default.stages[0].weak
+        assert half.stages[0].threshold > default.stages[0].threshold
 
 
 class TestExitCodes:
@@ -251,6 +274,32 @@ class TestExitCodes:
     def test_data_error(self, workdir):
         assert main(["train", "--manifest", str(workdir / "ghost.csv"),
                      "--out-dir", str(workdir / "x")]) == 2
+
+    @pytest.mark.parametrize("case, message", [
+        ("out-dir-under-a-file", "i/o error"),
+        ("no-face-in-any-frame", "every frame was skipped")])
+    def test_failed_train_is_data_error(self, small, face_cascade, tmp_path,
+                                        case, message, capsys):
+        manifest = small / "data" / "manifest.csv"
+        out = tmp_path / "models"
+        extra = []
+        if case == "out-dir-under-a-file":
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "sub"
+        else:
+            blank = tmp_path / "blank.pgm"
+            blank.write_bytes(save_pnm(Image.from_array(
+                np.full((160, 160), BACKGROUND, dtype=np.uint8))))
+            manifest = tmp_path / "manifest.csv"
+            manifest.write_text(f"{blank},-1\n{blank},+1\n")
+            cascade = tmp_path / "cascade.txt"
+            cascade.write_text(save_cascade(face_cascade))
+            extra = ["--detector", str(cascade)]
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(manifest), "--out-dir",
+                     str(out)] + extra) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cascade_rect_outside_window_is_model_error(self, workdir,
                                                        tmp_path, capsys):

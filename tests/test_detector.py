@@ -256,12 +256,13 @@ class TestEvalFeature:
         feats = [random_feature(data.draw, kind, base_w, base_h)
                  for kind in kinds]
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
-        windows = [integral_image(gray(rng.integers(0, 256,
-                                                    size=(base_h, base_w))))
-                   for _ in range(data.draw(st.integers(1, 8)))]
-        values = feature_value_matrix(windows, feats, base_w, base_h)
+        windows = np.stack([rng.integers(0, 256, size=(base_h, base_w))
+                            for _ in range(data.draw(st.integers(1, 8)))]
+                           ).astype(np.uint8)
+        values = feature_value_matrix(windows, feats)
         assert values.shape == (len(windows), len(feats))
-        for i, ii in enumerate(windows):
+        for i, window in enumerate(windows):
+            ii = integral_image(gray(window))
             for j, feat in enumerate(feats):
                 assert values[i, j] == eval_feature(ii, feat, (0, 0), 1.0,
                                                     base_w, base_h)
@@ -272,19 +273,19 @@ class TestEvalFeature:
         # std = sqrt(32512.5 - 127.5^2) = 127.5 and 73440 / 127.5 = 576.
         arr = np.zeros((24, 24), dtype=np.uint8)
         arr[:, :12] = 255
-        ii = integral_image(gray(arr))
         feat = HaarFeature("2H", Rect(0, 0, 24, 24))
-        assert feature_value_matrix([ii], [feat], 24, 24)[0, 0] == 576.0
-        assert eval_feature(ii, feat, (0, 0), 1.0) == 576.0
+        assert feature_value_matrix(arr[None], [feat])[0, 0] == 576.0
+        assert eval_feature(integral_image(gray(arr)), feat, (0, 0),
+                            1.0) == 576.0
 
     def test_matches_pixel_loop_oracle(self, rng):
         pixels = rng.integers(0, 256, size=(40, 40))
         ii = integral_image(gray(pixels))
-        crop = integral_image(gray(pixels[7:31, 5:29]))
+        crop = pixels[None, 7:31, 5:29].astype(np.uint8)
         for kind in ("2H", "2V", "3H", "3V", "4"):
             feat = any_feature(kind, 2, 2, 18, 18)
             got = eval_feature(ii, feat, (5, 7), 1.0)
-            assert feature_value_matrix([crop], [feat], 24, 24)[0, 0] == got
+            assert feature_value_matrix(crop, [feat])[0, 0] == got
             raw = 0.0
             for x1, y1, x2, y2, w in feat.sub_rects():
                 for yy in range(7 + y1, 7 + y2):
@@ -508,12 +509,14 @@ class TestBoost:
 
 
 def toy_windows(rng, n, bright):
-    out = []
-    for _ in range(n):
+    """An (n, 24, 24) uint8 stack of noise windows, with a bright block in
+    each when bright."""
+    out = np.empty((n, 24, 24), dtype=np.uint8)
+    for window in out:
         arr = rng.integers(0, 60, size=(24, 24))
         if bright:
             arr[4:20, 4:12] += 150
-        out.append(integral_image(gray(np.clip(arr, 0, 255))))
+        window[:] = np.clip(arr, 0, 255)
     return out
 
 
@@ -524,8 +527,7 @@ class TestTrainStage:
         pool = feature_grid(24, 24, 4)
         stage = train_stage(pos, neg, rounds=3, target_detection_rate=1.0,
                             features=pool)
-        values = feature_value_matrix(
-            pos, [w.feature for w, _ in stage.weak], 24, 24)
+        values = feature_value_matrix(pos, [w.feature for w, _ in stage.weak])
         assert np.all(stage_scores(stage, values) >= stage.threshold)
 
     def test_threshold_starts_at_half_vote_sum(self, rng):
@@ -541,7 +543,9 @@ class TestTrainStage:
 
     def test_empty_inputs(self, rng):
         with pytest.raises(EmptyInput):
-            train_stage([], toy_windows(rng, 2, False), rounds=1)
+            train_stage(toy_windows(rng, 0, True), toy_windows(rng, 2, False),
+                        rounds=1, target_detection_rate=0.995,
+                        features=feature_grid(24, 24, 4))
 
 
 class TestClassifyWindow:
