@@ -117,7 +117,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     model = _load_model(args.model)
     records = ingest(args.manifest)
-    frames = [r.load_image() for r in records]
+    frames = (r.load_image() for r in records)
     stream = infer_stream(model, frames, cfg.alert,
                           no_face_policy=cfg.no_face_policy,
                           boxes=[r.box for r in records])
@@ -258,6 +258,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     parser = build_parser()
     try:
+        if any("\0" in arg for arg in argv or ()):  # sys.argv never has one
+            parser.error("an argument holds a NUL byte")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)

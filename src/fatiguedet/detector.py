@@ -459,10 +459,11 @@ def stage_scores(stage: Stage, values_by_weak: np.ndarray) -> np.ndarray:
 
 def train_stage(positives: np.ndarray, negatives: np.ndarray, rounds: int,
                 target_detection_rate: float,
-                features: Sequence[HaarFeature]) -> Stage:
+                features: Sequence[HaarFeature]) -> tuple[Stage, np.ndarray]:
     """Boost `rounds` decision stumps on two (n, h, w) window stacks, then
     lower the stage threshold from half the total vote until the stage
-    passes the target share of positives."""
+    passes the target share of positives. Every window is scored once,
+    from the values boosting used; returns (stage, negatives' scores)."""
     if not len(positives) or not len(negatives):
         raise EmptyInput("need both positive and negative windows")
     if not 0 < target_detection_rate <= 1:
@@ -477,33 +478,28 @@ def train_stage(positives: np.ndarray, negatives: np.ndarray, rounds: int,
         (WeakClassifier(features[r.feature_index], r.threshold, r.polarity),
          r.alpha)
         for r in result.rounds)
-    total_alpha = sum(alpha for _, alpha in weak)
-    pos_values = values[:len(positives), [r.feature_index
-                                          for r in result.rounds]]
-    stage_for_scores = Stage(weak, 0.0)
-    scores = np.sort(stage_scores(stage_for_scores, pos_values))
+    scores = stage_scores(Stage(weak, 0.0),
+                          values[:, [r.feature_index for r in result.rounds]])
     need = math.ceil(target_detection_rate * len(positives))
-    threshold = min(0.5 * total_alpha, float(scores[len(scores) - need]))
-    return Stage(weak, threshold)
+    passing = np.sort(scores[:len(positives)])[len(positives) - need]
+    threshold = min(0.5 * sum(alpha for _, alpha in weak), float(passing))
+    return Stage(weak, threshold), scores[len(positives):]
 
 
 def train_cascade(positives: np.ndarray, negatives: np.ndarray,
                   stage_rounds: Sequence[int], target_detection_rate: float,
                   features: Sequence[HaarFeature]) -> Cascade:
     """Train stages in sequence on the negatives each cascade prefix still
-    accepts (its false positives). When too few survive, the pool is topped
-    up with the rejected negatives scoring closest to the stage threshold,
-    so later stages keep refining the boundary. The windows are (n, h, w)
-    stacks, and the cascade's base window is h x w."""
+    accepts, by the scores train_stage gives them. When too few survive,
+    the pool is topped up with the rejected negatives scoring closest to
+    the stage threshold, so later stages keep refining the boundary. The
+    windows are (n, h, w) stacks; the cascade's base window is h x w."""
     remaining = np.arange(len(negatives))  # indices into negatives
     stages: list[Stage] = []
     for rounds in stage_rounds:
-        pool = negatives[remaining]
-        stage = train_stage(positives, pool, rounds, target_detection_rate,
-                            features)
+        stage, scores = train_stage(positives, negatives[remaining], rounds,
+                                    target_detection_rate, features)
         stages.append(stage)
-        feats = [weak.feature for weak, _ in stage.weak]
-        scores = stage_scores(stage, feature_value_matrix(pool, feats))
         accepted = np.flatnonzero(scores >= stage.threshold)
         if len(accepted) < _MIN_NEGATIVES:
             accepted = np.sort(np.argsort(-scores, kind="stable")
@@ -693,8 +689,7 @@ def load_cascade(text: str) -> Cascade:
                 integer, finite)
             with src.checked(src.pos):
                 rect = Rect(x, y, w, h)
-                if (rect.x < 0 or rect.y < 0 or rect.x2 > base_w
-                        or rect.y2 > base_h):
+                if not rect.inside(base_w, base_h):
                     raise ValueError(f"{rect} outside the {base_w}x{base_h} "
                                      f"base window")
                 weak.append((WeakClassifier(HaarFeature(kind, rect),

@@ -116,7 +116,8 @@ IDLE = Idle()
 
 
 def _fmt(x: float) -> str:
-    return str(int(x)) if float(x) == int(x) else repr(float(x))
+    """A time or duration: an integer, or at most 15 significant digits."""
+    return str(int(x)) if float(x) == int(x) else f"{float(x):.15g}"
 
 
 def step(acc: FatigueAccumulator, label: int | None) -> FatigueAccumulator:

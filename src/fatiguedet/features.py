@@ -28,8 +28,7 @@ class RoiGeometry:
 
     def __post_init__(self):
         for name, r in (("eye", self.eye), ("mouth", self.mouth)):
-            if r.x < 0 or r.y < 0 or r.x2 > self.face_side \
-                    or r.y2 > self.face_side:
+            if not r.inside(self.face_side, self.face_side):
                 raise ValueError(f"{name} window {r} does not fit in "
                                  f"{self.face_side}x{self.face_side} face")
 

@@ -60,6 +60,11 @@ class Rect:
     def area(self) -> int:
         return self.w * self.h
 
+    def inside(self, width: int, height: int) -> bool:
+        """Whether the rect lies within a width x height area at the origin."""
+        return (self.x >= 0 and self.y >= 0 and self.x2 <= width
+                and self.y2 <= height)
+
     def iou(self, other: "Rect") -> float:
         """Intersection area over union area; 0.0 when disjoint."""
         ix = min(self.x2, other.x2) - max(self.x, other.x)
@@ -234,7 +239,7 @@ def resize_bilinear(img: Image, new_w: int, new_h: int) -> Image:
 
 
 def _check_inside(rect: Rect, width: int, height: int) -> None:
-    if rect.x < 0 or rect.y < 0 or rect.x2 > width or rect.y2 > height:
+    if not rect.inside(width, height):
         raise OutOfBounds(f"{rect} outside {width}x{height} image")
 
 

@@ -353,17 +353,14 @@ def frame_vectors(frames: Iterable[Image],
                   cascade: Cascade | None, scan: ScanConfig,
                   ) -> Iterator[np.ndarray | None]:
     """Each frame's feature vector, or None where no face box is found, one
-    frame at a time: preprocess, frame_box (boxes[i] is frame i's fallback
-    box), then frame_features. Without a cascade the box is known first,
-    so only its pixels are preprocessed."""
+    frame at a time on one path: preprocess, frame_box, frame_features.
+    Without a cascade, boxes[i] (else the whole frame) is frame i's face
+    box, so preprocess returns only its pixels and frame_box takes them
+    all; with a cascade the whole frame is preprocessed and scanned."""
     for i, img in enumerate(frames):
-        fallback = boxes[i] if boxes is not None else None
-        if cascade is None:
-            box = frame_box(img, None, scan, fallback)
-            img, box = preprocess(img, prep, box), Rect(0, 0, box.w, box.h)
-        else:
-            img = preprocess(img, prep)
-            box = frame_box(img, cascade, scan, fallback)
+        region = boxes[i] if cascade is None and boxes is not None else None
+        img = preprocess(img, prep, region)
+        box = frame_box(img, cascade, scan, None)
         yield None if box is None else \
             features.frame_features(img, box, geometry)
 

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fatiguedet import fatigue
 from fatiguedet.cli import main
 from fatiguedet.detector import load_cascade, save_cascade
 from fatiguedet.imaging import Image, save_pnm
+from fatiguedet.pipeline import ManifestRecord, PipelineConfig, render_config
 from fatiguedet.synth import BACKGROUND
+from test_textmodel import CASCADE_TEXT, PIPE_TEXT, mutations
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +152,27 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert out.startswith("# t_low=2 t_high=6")
         assert "water_spray=1" in out
+
+    def test_frames_are_decoded_as_the_alert_unit_asks(self, small,
+                                                       monkeypatch):
+        calls = []
+        load, alert_step = ManifestRecord.load_image, fatigue.alert_step
+
+        def logged_load(record):
+            calls.append("load")
+            return load(record)
+
+        def logged_step(*args, **kwargs):
+            calls.append("step")
+            return alert_step(*args, **kwargs)
+
+        monkeypatch.setattr(ManifestRecord, "load_image", logged_load)
+        monkeypatch.setattr(fatigue, "alert_step", logged_step)
+        assert main(["simulate", "--manifest",
+                     str(small / "data" / "manifest.csv"), "--model",
+                     str(small / "models" / "model.pipe1"), "--out",
+                     str(small / "alternating.txt")]) == 0
+        assert calls == ["load", "step"] * 8
 
 
 class TestDetectTrain:
@@ -396,6 +420,22 @@ class TestExitCodes:
         assert "is not text" in capsys.readouterr().err
         assert not never.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--config"), ("train", "--out-dir"), ("eval", "--model"),
+        ("eval", "--json-out"), ("simulate", "--config"),
+        ("simulate", "--out")])
+    def test_nul_in_an_argument_is_usage_error(self, small, command, flag,
+                                               tmp_path, capsys):
+        argv = {"train": ["--out-dir", str(tmp_path / "out")],
+                "eval": ["--model", str(small / "models" / "model.pipe1")],
+                "simulate": ["--model",
+                             str(small / "models" / "model.pipe1")]}[command]
+        assert main([command, "--manifest",
+                     str(small / "data" / "manifest.csv"), *argv, flag,
+                     str(tmp_path / "a\0b")]) == 1
+        assert "NUL byte" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_nul_in_config_cascade_path_is_data_error(self, workdir,
                                                       tmp_path, capsys):
         cfg = tmp_path / "pipeline.cfg"
@@ -500,4 +540,77 @@ class TestNumericFlags:
         argv = ["eval", "--manifest", str(small / "data" / "manifest.csv"),
                 "--model", str(small / "models" / "model.pipe1")]
         argv += _flags(data.draw, ["--folds", "--seed"])
+        assert main(argv) in (0, 1, 2, 3)
+
+
+def _sets_output(token: str) -> bool:
+    """Whether argparse would read the token as an output flag; it accepts
+    any unambiguous prefix, and a value after "="."""
+    name = token.split("=", 1)[0]
+    return len(name) > 2 and name.startswith("--") and any(
+        flag.startswith(name) for flag in ("--out", "--out-dir", "--json-out"))
+
+
+# Any argv token but one that moves an output out of the test's directory;
+# small numbers and choice values let some runs pass the parser
+ARG_TEXT = (NUMBER_TEXT | st.text(max_size=8) | st.integers(0, 12).map(str)
+            | st.sampled_from(["\u0663", "\uff13", "_", "1_0", "nan", "-0",
+                               "9" * 40, "-" + "9" * 40, "", "-q", "0.5",
+                               "off", "linear", "rbf", "fatigued", "a\0"])
+            ).filter(lambda token: not _sets_output(token))
+
+# Each command's flags that the fuzz may add (and an unknown one), and
+# those that read a file it writes mutated; the output flags are always the
+# test's own
+FLAGS = {
+    "train": ["--manifest", "--config", "--detector", "--pca-k",
+              "--pca-variance", "--svm-c", "--svm-kernel", "--svm-gamma",
+              "--seed"],
+    "eval": ["--manifest", "--model", "--folds", "--seed"],
+    "simulate": ["--manifest", "--model", "--config", "--t-low", "--t-high",
+                 "--alarm-duration", "--high-persist", "--water-spray",
+                 "--sample-period", "--no-face-policy"],
+    "default-config": [],
+}
+FILE_FLAGS = {"train": ["--config", "--detector"], "eval": ["--model"],
+              "simulate": ["--model", "--config"], "default-config": []}
+
+
+class TestWholeCli:
+    """cli.main returns an exit code from 0 to 3 whatever its argv tokens
+    and whatever the bytes of the model, cascade and config files."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_argv_and_file_bytes(self, small, face_cascade,
+                                     tmp_path_factory, data):
+        out = tmp_path_factory.mktemp("fuzz")
+        manifest = str(small / "data" / "manifest.csv")
+        command = data.draw(st.sampled_from(sorted(FLAGS)))
+        argv = [command] + {
+            "train": ["--manifest", manifest, "--out-dir", str(out / "m")],
+            "eval": ["--manifest", manifest, "--model",
+                     str(small / "models" / "model.pipe1"),
+                     "--json-out", str(out / "report.json")],
+            "simulate": ["--manifest", manifest, "--model",
+                         str(small / "models" / "model.pipe1"),
+                         "--out", str(out / "trace.txt")],
+            "default-config": []}[command]
+        pairs = data.draw(st.lists(st.tuples(
+            st.sampled_from(FLAGS[command] + ["--bogus"]), ARG_TEXT),
+            max_size=3))
+        argv += [token for pair in pairs for token in pair]
+        if data.draw(st.integers(0, 4)) == 0:
+            argv.append(data.draw(ARG_TEXT))  # a stray token
+        bases = {"--model": [(small / "models" / "model.pipe1").read_text(),
+                             PIPE_TEXT],
+                 "--detector": [save_cascade(face_cascade), CASCADE_TEXT],
+                 "--config": [render_config(PipelineConfig())]}
+        for flag in FILE_FLAGS[command]:
+            if data.draw(st.booleans()):
+                text, _ = data.draw(mutations(data.draw(st.sampled_from(
+                    bases[flag]))))
+                path = out / flag.strip("-")
+                path.write_text(text)
+                argv += [flag, str(path)]
         assert main(argv) in (0, 1, 2, 3)

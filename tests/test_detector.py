@@ -24,6 +24,7 @@ from fatiguedet.detector import (
     save_cascade,
     stage_scores,
     stump_predict,
+    train_cascade,
     train_stage,
     train_weak,
 )
@@ -525,8 +526,8 @@ class TestTrainStage:
         pos = toy_windows(rng, 30, True)
         neg = toy_windows(rng, 30, False)
         pool = feature_grid(24, 24, 4)
-        stage = train_stage(pos, neg, rounds=3, target_detection_rate=1.0,
-                            features=pool)
+        stage, _ = train_stage(pos, neg, rounds=3, target_detection_rate=1.0,
+                               features=pool)
         values = feature_value_matrix(pos, [w.feature for w, _ in stage.weak])
         assert np.all(stage_scores(stage, values) >= stage.threshold)
 
@@ -534,8 +535,8 @@ class TestTrainStage:
         pos = toy_windows(rng, 25, True)
         neg = toy_windows(rng, 25, False)
         pool = feature_grid(24, 24, 4)
-        stage = train_stage(pos, neg, rounds=2, target_detection_rate=0.5,
-                            features=pool)
+        stage, _ = train_stage(pos, neg, rounds=2, target_detection_rate=0.5,
+                               features=pool)
         total = sum(alpha for _, alpha in stage.weak)
         # separable toy: every positive already clears the half-vote bar,
         # so no lowering happens
@@ -546,6 +547,29 @@ class TestTrainStage:
             train_stage(toy_windows(rng, 0, True), toy_windows(rng, 2, False),
                         rounds=1, target_detection_rate=0.995,
                         features=feature_grid(24, 24, 4))
+
+    def test_negative_scores_match_their_own_values(self, rng):
+        neg = toy_windows(rng, 40, False)
+        stage, scores = train_stage(toy_windows(rng, 30, True), neg,
+                                    rounds=3, target_detection_rate=0.99,
+                                    features=feature_grid(24, 24, 4))
+        values = feature_value_matrix(neg, [w.feature for w, _ in stage.weak])
+        assert np.array_equal(scores, stage_scores(stage, values))
+
+    def test_cascade_computes_values_once_per_stage(self, rng, monkeypatch):
+        calls = []
+        matrix = detector.feature_value_matrix
+
+        def counted(windows, features):
+            calls.append(len(windows))
+            return matrix(windows, features)
+
+        monkeypatch.setattr(detector, "feature_value_matrix", counted)
+        cascade = train_cascade(toy_windows(rng, 30, True),
+                                toy_windows(rng, 80, False), (2, 3), 0.99,
+                                feature_grid(24, 24, 4))
+        assert len(cascade.stages) == 2
+        assert len(calls) == 2
 
 
 class TestClassifyWindow:

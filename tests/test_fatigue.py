@@ -313,6 +313,15 @@ class TestTickClock:
         trace = simulate([None] * 10, AlertConfig(sample_period=0.1))
         assert [t.t for t in trace.ticks] == [n * 0.1 for n in range(1, 11)]
 
+    def test_render_prints_times_without_float_noise(self):
+        # 3 * 0.3 is 0.8999999999999999: printed with 15 significant digits
+        cfg = AlertConfig(t_low=3, t_high=10, alarm_duration=0.9,
+                          sample_period=0.3)
+        lines = simulate([1] * 4, cfg).render().splitlines()
+        assert lines[3:5] == ["TICK 0.9 3 Low LowAlarm(0.9)",
+                              "EVENT 0.9 AlarmOn"]
+        assert lines[5] == "TICK 1.2 4 Low LowAlarm(0.6)"
+
 
 class TestConfigValidation:
     def test_durations_finite_in_ticks(self):
