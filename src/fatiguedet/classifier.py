@@ -27,7 +27,6 @@ logger = logging.getLogger(__name__)
 FATIGUED = 1
 ALERT = -1
 
-_SV_EPS = 1e-8
 _KERNEL_CACHE_LIMIT = 4096
 
 
@@ -125,11 +124,13 @@ def svm_train(x: np.ndarray, y: Sequence[int], C: float = 1.0,
     y alpha may grow, and j, among those whose y alpha may shrink, gives
     the largest second-order gain (Keerthi et al. 2001; Fan, Chen & Lin
     2005). Ties go to the first index. Training stops when the gap m - M,
-    the largest -yG that may grow minus the smallest that may shrink, is
-    at most tol, or after max_passes * n steps (logged as a warning). The
-    bias is the mean of -yG over the free vectors, or the midpoint of
-    [M, m] when none is free; on_step gets alpha and that bias after every
-    step.
+    the largest -yG that may grow minus the smallest that may shrink, is at
+    most tol, or after max_passes * n steps (logged as a warning). The gap
+    is 2 at alpha = 0, so tol lies in (0, 2); every step raises the dual,
+    so some multiplier is nonzero, and the nonzero ones are the support
+    vectors (as in LIBSVM). The bias is the mean of -yG over the free
+    vectors, or the midpoint of [M, m] when none is free; on_step gets
+    alpha and that bias after every step.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -141,8 +142,8 @@ def svm_train(x: np.ndarray, y: Sequence[int], C: float = 1.0,
         raise ValueError("labels must be +1 or -1")
     if np.all(y > 0) or np.all(y < 0):
         raise SingleClass("training data contains a single class")
-    if C <= 0 or tol <= 0:
-        raise ValueError("C and tol must be positive")
+    if not (C > 0 and 0 < tol < 2):
+        raise ValueError("need C > 0 and tol in (0, 2)")
 
     n = x.shape[0]
     kernel = _resolve_gamma(kernel, x)
@@ -196,11 +197,7 @@ def svm_train(x: np.ndarray, y: Sequence[int], C: float = 1.0,
         assert abs(float(alpha @ y)) <= 1e-6
     b = _bias(v, up, low)
 
-    sv = alpha > _SV_EPS
-    if not np.any(sv):
-        # converged with an empty active set; keep the largest multiplier
-        # so the model stays well-formed
-        sv[int(np.argmax(alpha))] = True
+    sv = alpha > 0
     coef = (alpha * y)[sv]
     coef -= coef.sum() / len(coef)  # remove roundoff drift in the constraint
     return SvmModel(support_vectors=x[sv].copy(), dual_coef=coef,

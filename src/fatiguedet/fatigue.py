@@ -190,42 +190,47 @@ def alert_step(state: AlertState, lvl: FatigueLevel, config: AlertConfig,
 
 @dataclass(frozen=True)
 class TraceTick:
+    """One tick: time, sum, level, state, folded label and its events."""
+
     t: float
     r: int
     level: FatigueLevel
     state: AlertState
+    label: int | None
+    events: tuple[ActuatorEvent, ...]
 
 
 @dataclass
 class Trace:
+    """A run of the alert unit: its config and one TraceTick per tick."""
+
     config: AlertConfig
     ticks: list[TraceTick]
-    events: list[ActuatorEvent]
-    labels: list[int | None]  # the output folded at each tick
 
-    def render(self, with_labels: bool = False) -> str:
-        """Line-oriented text form, suitable for diff-based golden tests;
-        with_labels puts a LABEL line (the output, or 'skip' for None)
-        after each TICK line."""
+    @property
+    def labels(self) -> list[int | None]:
+        return [tick.label for tick in self.ticks]
+
+    @property
+    def events(self) -> list[ActuatorEvent]:
+        return [ev for tick in self.ticks for ev in tick.events]
+
+    def render(self) -> str:
+        """The one text form, for diff-based golden tests: the config line,
+        then per tick TICK, LABEL (+1, -1 or skip) and its EVENT lines."""
         c = self.config
-        lines = [
-            "# t_low=%d t_high=%d alarm_duration=%s high_persist=%s "
-            "water_spray=%d sample_period=%s" % (
-                c.t_low, c.t_high, _fmt(c.alarm_duration),
-                _fmt(c.high_persist), int(c.water_spray_enabled),
-                _fmt(c.sample_period)),
-        ]
-        by_time: dict[float, list[ActuatorEvent]] = {}
-        for ev in self.events:
-            by_time.setdefault(ev.t, []).append(ev)
-        for tick, label in zip(self.ticks, self.labels):
-            lines.append(f"TICK {_fmt(tick.t)} {tick.r} {tick.level.label} "
+        lines = ["# t_low=%d t_high=%d alarm_duration=%s high_persist=%s "
+                 "water_spray=%d sample_period=%s" % (
+                     c.t_low, c.t_high, _fmt(c.alarm_duration),
+                     _fmt(c.high_persist), int(c.water_spray_enabled),
+                     _fmt(c.sample_period))]
+        for tick in self.ticks:
+            t = _fmt(tick.t)
+            label = "skip" if tick.label is None else f"{tick.label:+d}"
+            lines.append(f"TICK {t} {tick.r} {tick.level.label} "
                          f"{tick.state.render(c.sample_period)}")
-            if with_labels:
-                text = "skip" if label is None else f"{label:+d}"
-                lines.append(f"LABEL {_fmt(tick.t)} {text}")
-            for ev in by_time.get(tick.t, ()):
-                lines.append(f"EVENT {_fmt(ev.t)} {ev.kind.value}")
+            lines.append(f"LABEL {t} {label}")
+            lines.extend(f"EVENT {t} {ev.kind.value}" for ev in tick.events)
         return "\n".join(lines) + "\n"
 
 
@@ -234,19 +239,17 @@ def simulate(labels: Iterable[int | None], config: AlertConfig) -> Trace:
 
     Outputs are drawn one at a time, so the alert step of one returns
     before the next is drawn (a stream's frame i is handled before frame
-    i + 1 is read). None is a tick without an output, such as a frame with
-    no face: time advances and the running sum stays. An empty input gives
-    an empty trace.
+    i + 1 is read), and each gives one TraceTick. None is a tick without
+    an output, such as a frame with no face: time advances and the running
+    sum stays. An empty input gives an empty trace.
     """
     acc = FatigueAccumulator()
     state: AlertState = IDLE
-    trace = Trace(config, [], [], [])
+    trace = Trace(config, [])
     for tick, label in enumerate(labels, start=1):
         t = tick * config.sample_period
         acc = step(acc, label)
         lvl = level(acc, config)
         state, evs = alert_step(state, lvl, config, now=t)
-        trace.events.extend(evs)
-        trace.ticks.append(TraceTick(t, acc.r, lvl, state))
-        trace.labels.append(label)
+        trace.ticks.append(TraceTick(t, acc.r, lvl, state, label, tuple(evs)))
     return trace

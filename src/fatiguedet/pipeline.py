@@ -157,8 +157,8 @@ class PipelineConfig:
         self.kernel()  # rejects an unknown kernel or gamma <= 0
         if not self.svm_c > 0:
             raise ValueError("svm_c must be positive")
-        if not self.svm_tol > 0:
-            raise ValueError("svm_tol must be positive")
+        if not 0 < self.svm_tol < 2:
+            raise ValueError("svm_tol must be in (0, 2)")
         if self.svm_max_passes < 1:
             raise ValueError("svm_max_passes must be >= 1")
         if self.pca_variance is not None and not 0 < self.pca_variance <= 1:
@@ -452,7 +452,7 @@ class StreamTrace:
         return self.trace.labels
 
     def render(self) -> str:
-        return self.trace.render(with_labels=True)
+        return self.trace.render()
 
 
 def infer_stream(model: PipelineModel, frames: Iterable[Image],
@@ -511,12 +511,11 @@ def evaluate(model: PipelineModel, records: Sequence[ManifestRecord],
 
 
 def onset_latency(trace: StreamTrace, onset_tick: int) -> int | None:
-    """Ticks from a fatigue onset to the first AlarmOn, or None; ticks
-    count from 1, and an event is on the tick that carries its time."""
-    for ev in trace.trace.events:
-        if ev.kind == fatigue.EventKind.ALARM_ON:
-            return next(n for n, tick in enumerate(trace.trace.ticks, 1)
-                        if tick.t == ev.t) - onset_tick
+    """Ticks from a fatigue onset to the first tick whose events hold an
+    AlarmOn, or None when no tick does; ticks count from 1."""
+    for n, tick in enumerate(trace.trace.ticks, 1):
+        if any(ev.kind == fatigue.EventKind.ALARM_ON for ev in tick.events):
+            return n - onset_tick
     return None
 
 

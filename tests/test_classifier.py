@@ -271,6 +271,29 @@ class TestTrainValidation:
         with pytest.raises(NonFinite):
             svm_train(x, [1, -1])
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, 2.0, 5.0, np.nan])
+    def test_tol_outside_open_interval_0_2(self, rng, tol):
+        # the KKT gap is 2 at alpha = 0: a tol of 2 or more stops before
+        # the first step and would leave every multiplier at zero
+        x, y = separable_set(rng, n=14, k=3)
+        with pytest.raises(ValueError, match="tol in \\(0, 2\\)"):
+            svm_train(x, y, tol=tol)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, KernelSpec()],
+                             ids=["linear", "rbf"])
+    @pytest.mark.parametrize("C", [1e-9, 1e-300])
+    def test_tiny_c_keeps_every_nonzero_multiplier(self, rng, kernel, C):
+        # every multiplier ends at the tiny C; all are support vectors,
+        # and the balanced set is not labelled one class
+        x = np.concatenate([rng.normal(2.0, 0.3, size=(8, 2)),
+                            rng.normal(-2.0, 0.3, size=(8, 2))])
+        y = np.array([1] * 8 + [-1] * 8)
+        model = svm_train(x, y, C=C, kernel=kernel)
+        assert len(model.dual_coef) == 16
+        assert np.all(np.abs(model.dual_coef) > 0)
+        assert np.array_equal(decision_labels(svm_decision_many(model, x)),
+                              y)
+
     def test_deterministic(self, rng):
         x, y = separable_set(rng, n=14, k=3)
         a = svm_train(x, y, C=1.0)

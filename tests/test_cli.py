@@ -10,7 +10,14 @@ from fatiguedet import fatigue
 from fatiguedet.cli import main
 from fatiguedet.detector import load_cascade, save_cascade
 from fatiguedet.imaging import Image, save_pnm
-from fatiguedet.pipeline import ManifestRecord, PipelineConfig, render_config
+from fatiguedet.pipeline import (
+    ManifestRecord,
+    PipelineConfig,
+    ingest,
+    load_pipeline,
+    pipeline_predict,
+    render_config,
+)
 from fatiguedet.synth import BACKGROUND
 from test_textmodel import CASCADE_TEXT, PIPE_TEXT, mutations
 
@@ -113,6 +120,24 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "trained on 60 frames" in out
         assert "training accuracy 1.0000" in out
+
+    def test_tiny_svm_c_labels_both_classes(self, tmp_path):
+        # with C = 1e-9 every multiplier is at most 1e-9: all nonzero ones
+        # are support vectors, so the model is no constant classifier
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--n-frames", "30",
+                     "--seed", "4"]) == 0
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("svm_c = 1e-9\n")
+        assert main(["train", "--manifest", str(data / "manifest.csv"),
+                     "--out-dir", str(tmp_path / "models"), "--config",
+                     str(cfg)]) == 0
+        records = ingest(data / "manifest.csv")
+        model = load_pipeline((tmp_path / "models" / "model.pipe1")
+                              .read_text())
+        labels = pipeline_predict(model, records)
+        assert sorted(set(labels.tolist())) == [-1, 1]
+        assert model.svm.support_vectors.shape[0] > 1
 
 
 class TestEval:
@@ -444,6 +469,18 @@ class TestExitCodes:
                      str(workdir / "data" / "manifest.csv"), "--out-dir",
                      str(tmp_path / "never"), "--config", str(cfg)]) == 2
         assert "NUL byte" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("tol", ["2", "5"])
+    def test_svm_tol_outside_0_2_is_data_error(self, workdir, tmp_path, tol,
+                                               capsys):
+        # at tol >= 2 SMO stops before its first step: a constant model
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"svm_tol = {tol}\n")
+        assert main(["train", "--manifest",
+                     str(workdir / "data" / "manifest.csv"), "--out-dir",
+                     str(tmp_path / "never"), "--config", str(cfg)]) == 2
+        assert "svm_tol must be in (0, 2)" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
     @pytest.mark.parametrize("line", [

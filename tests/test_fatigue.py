@@ -222,6 +222,29 @@ class TestSimulate:
             (1.0, 1), (2.0, 1), (3.0, 2), (4.0, 2), (5.0, 1)]
         assert trace.labels == [1, None, 1, None, -1]
 
+    @given(st.lists(st.sampled_from([1, -1, None]), max_size=40))
+    def test_each_tick_holds_its_label_and_events(self, labels):
+        # the trace is its ticks: labels, events and the LABEL lines are
+        # read from them, and a tick's events are what alert_step emitted
+        cfg = AlertConfig(t_low=2, t_high=4, alarm_duration=3.0,
+                          high_persist=2.0, water_spray_enabled=True,
+                          sample_period=0.3)
+        trace = simulate(labels, cfg)
+        assert trace.labels == [tick.label for tick in trace.ticks] == labels
+        assert trace.events == [ev for tick in trace.ticks
+                                for ev in tick.events]
+        acc, state = FatigueAccumulator(), IDLE
+        for tick, label in zip(trace.ticks, labels, strict=True):
+            acc = step(acc, label)
+            state, evs = alert_step(state, level(acc, cfg), cfg, now=tick.t)
+            assert tick.events == tuple(evs)
+            assert all(ev.t == tick.t for ev in tick.events)
+        lines = trace.render().splitlines()
+        kinds = [line.split()[0] for line in lines[1:]]
+        assert kinds.count("LABEL") == len(trace.ticks)
+        assert all(b == "LABEL" for a, b in zip(kinds, kinds[1:])
+                   if a == "TICK")
+
     def test_escalation_timing(self):
         # constant fatigue: alarm at t=5, reduce at t=15, stop at t=20
         trace = simulate([1] * 25, CFG)
@@ -268,14 +291,22 @@ class TestSimulate:
             "# t_low=2 t_high=4 alarm_duration=3 high_persist=2 "
             "water_spray=0 sample_period=1\n"
             "TICK 1 1 None Idle\n"
+            "LABEL 1 +1\n"
             "TICK 2 2 Low LowAlarm(3)\n"
+            "LABEL 2 +1\n"
             "EVENT 2 AlarmOn\n"
             "TICK 3 1 None LowAlarm(2)\n"
+            "LABEL 3 -1\n"
             "TICK 4 2 Low LowAlarm(1)\n"
+            "LABEL 4 +1\n"
             "TICK 5 3 Low LowAlarm(3)\n"
+            "LABEL 5 +1\n"
             "TICK 6 2 Low LowAlarm(2)\n"
+            "LABEL 6 -1\n"
             "TICK 7 1 None LowAlarm(1)\n"
+            "LABEL 7 -1\n"
             "TICK 8 0 None Idle\n"
+            "LABEL 8 -1\n"
             "EVENT 8 AlarmOff\n"
         )
         assert got == expected
@@ -318,9 +349,9 @@ class TestTickClock:
         cfg = AlertConfig(t_low=3, t_high=10, alarm_duration=0.9,
                           sample_period=0.3)
         lines = simulate([1] * 4, cfg).render().splitlines()
-        assert lines[3:5] == ["TICK 0.9 3 Low LowAlarm(0.9)",
-                              "EVENT 0.9 AlarmOn"]
-        assert lines[5] == "TICK 1.2 4 Low LowAlarm(0.6)"
+        assert lines[5:8] == ["TICK 0.9 3 Low LowAlarm(0.9)",
+                              "LABEL 0.9 +1", "EVENT 0.9 AlarmOn"]
+        assert lines[8] == "TICK 1.2 4 Low LowAlarm(0.6)"
 
 
 class TestConfigValidation:

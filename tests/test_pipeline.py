@@ -479,6 +479,10 @@ class TestInferStream:
         fatigued = infer_stream(blind, frames, no_face_policy="fatigued")
         assert [t.r for t in fatigued.trace.ticks] == [1, 2, 3, 4, 5]
 
+    def test_unknown_no_face_policy_is_refused(self, model):
+        with pytest.raises(ValueError, match="no_face_policy 'ignore'"):
+            infer_stream(model, [], no_face_policy="ignore")
+
     def test_render_includes_labels(self, dataset, model):
         frames = [dataset[0].load_image()]
         text = infer_stream(model, frames).render()
