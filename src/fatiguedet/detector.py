@@ -41,6 +41,11 @@ _KIND_CELLS = {
     "4": (2, 2, (1, -1, -1, 1)),
 }
 KINDS = tuple(_KIND_CELLS)
+# _KIND_CELLS by a kind's index in KINDS, weights zero-padded to 4 cells
+_KIND_INDEX = {kind: i for i, kind in enumerate(KINDS)}
+_COLS, _ROWS = np.array([cells[:2] for cells in _KIND_CELLS.values()]).T
+_WEIGHTS = np.array([w + (0,) * (4 - len(w))
+                     for _, _, w in _KIND_CELLS.values()])
 
 _MIN_NEGATIVES = 50  # train_cascade tops a stage's survivors up to this
 
@@ -135,8 +140,10 @@ class ScanConfig:
     min_neighbors: int = 3
 
     def __post_init__(self):
-        if not 1.0 < self.scale_factor < math.inf:
-            raise ValueError("scale_factor must be finite and exceed 1")
+        # the floor bounds the scan plan: 1.01 gives 191 levels on a
+        # 160 x 160 frame, and the levels grow as 1 / ln(scale_factor)
+        if not 1.01 <= self.scale_factor < math.inf:
+            raise ValueError("scale_factor must be finite and at least 1.01")
         if not 0 < self.step_frac <= 1:
             raise ValueError("step_frac must be in (0, 1]")
         if not 0 < self.group_iou <= 1:
@@ -147,26 +154,6 @@ class ScanConfig:
 
 # ---------------------------------------------------------------------------
 # Feature evaluation
-
-def _scale_sub_rects(feature: HaarFeature, scale: float):
-    """Corner-scaled sub-rects with exact area renormalization.
-
-    Corners scale independently (keeping adjacent sub-rects tiling). Each
-    rectangle's pixel sum is divided by its actual scaled area, then scaled
-    by weight * ideal area: on a constant image the per-rect mean is exact,
-    so the weighted ideal areas cancel to exactly zero at every scale.
-    """
-    out = []
-    for x1, y1, x2, y2, wgt in feature.sub_rects():
-        sx1, sy1 = iround(x1 * scale), iround(y1 * scale)
-        sx2, sy2 = iround(x2 * scale), iround(y2 * scale)
-        actual = (sx2 - sx1) * (sy2 - sy1)
-        if actual <= 0:
-            raise ValueError(f"degenerate sub-rect at scale {scale}")
-        ideal = (x2 - x1) * (y2 - y1) * scale * scale
-        out.append((sx1, sy1, sx2, sy2, float(actual), wgt * ideal))
-    return tuple(out)
-
 
 @dataclass(frozen=True, eq=False)
 class _FeatureTable:
@@ -184,25 +171,45 @@ class _FeatureTable:
     fourth: np.ndarray
 
 
-def _flat_offsets(rects, stride: int) -> np.ndarray:
-    """Flat corner offsets of rects given as (x1, y1, x2, y2, ...) rows, in
-    four blocks: x2y2, x2y1, x1y2, x1y1."""
-    x1, y1, x2, y2 = np.array([r[:4] for r in rects], dtype=np.intp).T
+def _flat_offsets(corners: np.ndarray, stride: int) -> np.ndarray:
+    """Flat corner offsets of rects whose x1, y1, x2 and y2 are the four
+    rows of corners, in four blocks: x2y2, x2y1, x1y2, x1y1."""
+    x1, y1, x2, y2 = corners
     return np.concatenate([y2 * stride + x2, y1 * stride + x2,
                            y2 * stride + x1, y1 * stride + x1])
 
 
 def _feature_table(features: Sequence[HaarFeature], scale: float,
                    stride: int) -> _FeatureTable:
-    subs = [_scale_sub_rects(f, scale) for f in features]
-    third = [i for i, s in enumerate(subs) if len(s) > 2]
-    fourth = [i for i, s in enumerate(subs) if len(s) > 3]
-    rows = ([s[0] for s in subs] + [s[1] for s in subs]
-            + [subs[i][2] for i in third] + [subs[i][3] for i in fourth])
-    return _FeatureTable(
-        len(subs), _flat_offsets(rows, stride),
-        np.array([[r[4]] for r in rows]), np.array([[r[5]] for r in rows]),
-        np.array(third, dtype=np.intp), np.array(fourth, dtype=np.intp))
+    """The table of features at scale. Each sub-rect corner scales and
+    rounds half up on its own, so adjacent sub-rects keep tiling; the
+    rect's sum is divided by its scaled area and multiplied by weight times
+    its unrounded area at scale, so on a constant image the weighted areas
+    cancel to exactly zero at every scale."""
+    kind, x, y, w, h = np.array(
+        [(_KIND_INDEX[f.kind], f.rect.x, f.rect.y, f.rect.w, f.rect.h)
+         for f in features], dtype=np.intp).reshape(-1, 5).T
+    n = len(kind)
+    cols, rows = _COLS[kind], _ROWS[kind]
+    cw, ch = w // cols, h // rows
+    third, fourth = np.flatnonzero(cols * rows > 2), \
+        np.flatnonzero(cols * rows > 3)
+    # one row per sub-rect: cell k of feature f
+    f = np.concatenate([np.arange(n), np.arange(n), third, fourth])
+    k = np.repeat(np.arange(4), [n, n, len(third), len(fourth)])
+    cw, ch = cw[f], ch[f]
+    x1 = x[f] + k % cols[f] * cw
+    y1 = y[f] + k // cols[f] * ch
+    corners = np.floor(np.stack([x1, y1, x1 + cw, y1 + ch]) * scale + 0.5
+                       ).astype(np.intp)  # iround
+    actual = (corners[2] - corners[0]) * (corners[3] - corners[1])
+    if np.any(actual <= 0):
+        raise ValueError(f"degenerate sub-rect at scale {scale}")
+    ideal = cw * ch * scale * scale
+    return _FeatureTable(n, _flat_offsets(corners, stride),
+                         actual[:, None].astype(np.float64),
+                         (_WEIGHTS[kind[f], k] * ideal)[:, None],
+                         third, fourth)
 
 
 def _rect_sums(corners: np.ndarray) -> np.ndarray:
@@ -279,70 +286,101 @@ _CHUNK = 64  # features per block in boost and feature_value_matrix
 
 
 def _presort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable ascending order of each feature column, as int32, and the
-    mask of split positions (n + 1 per column) that fall between equal
-    values and so are not threshold candidates."""
+    """The stable ascending order of each feature column of values (n
+    samples x F features), one int32 row per feature, and the (F, n + 1)
+    mask of split positions that fall between equal values and so are not
+    threshold candidates.
+
+    Each block of rows is sorted once with numpy's default sort, which
+    need not keep ties in index order, and then sorted again by
+    run * n + index, where run counts the value changes before a position
+    (NaNs, sorted last, count as one value). That keeps each run of equal
+    values where it is and puts it in index order: the stable order,
+    whatever the first sort did with ties.
+    """
     n, nf = values.shape
-    order = np.empty((n, nf), dtype=np.int32)
-    tied = np.zeros((n + 1, nf), dtype=bool)
+    rows = values.T
+    order = np.empty((nf, n), dtype=np.int32)
+    tied = np.zeros((nf, n + 1), dtype=bool)
+    # keys reach n * n - 1; int32 keys sort about 4x faster than int64
+    key_type = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
     for lo in range(0, nf, _CHUNK):
-        block = values[:, lo:lo + _CHUNK]
-        block_order = np.argsort(block, axis=0, kind="stable")
-        v = np.take_along_axis(block, block_order, axis=0)
-        order[:, lo:lo + _CHUNK] = block_order
-        tied[1:n, lo:lo + _CHUNK] = v[1:] <= v[:-1]
+        block = rows[lo:lo + _CHUNK]
+        first = np.argsort(block, axis=1)
+        v = np.take_along_axis(block, first, axis=1)
+        same = v[:, 1:] <= v[:, :-1]
+        tied[lo:lo + _CHUNK, 1:n] = same
+        if np.isnan(v[:, -1]).any():
+            same |= np.isnan(v[:, 1:]) & np.isnan(v[:, :-1])
+        run = np.zeros(block.shape, dtype=key_type)
+        np.cumsum(~same, axis=1, out=run[:, 1:])
+        run *= n
+        key = first.astype(key_type)
+        key += run
+        key.sort(axis=1)
+        key -= run
+        order[lo:lo + _CHUNK] = key
     return order, tied
 
 
-def _split_errors(order: np.ndarray, labels: np.ndarray,
-                  weights: np.ndarray, cpos: np.ndarray, cneg: np.ndarray):
-    """Weighted error of the polarity +1 stump at every split (row) of each
-    presorted column, and the total weight. Split i puts the i smallest
-    values below the threshold; cpos and cneg are scratch of n + 1 rows
-    whose first row is zero."""
-    np.cumsum(np.where(labels == 1, weights, 0.0)[order], axis=0,
-              out=cpos[1:])
-    np.cumsum(np.where(labels == -1, weights, 0.0)[order], axis=0,
-              out=cneg[1:])
-    total_neg = cneg[-1]
-    return cpos + (total_neg - cneg), cpos[-1] + total_neg
+def _split_weights(labels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The sample weights as _split_errors reads them: the positives'
+    weights in the real part, the negatives' in the imaginary part."""
+    out = np.empty(len(weights), dtype=np.complex128)
+    out.real = np.where(labels == 1, weights, 0.0)
+    out.imag = np.where(labels == -1, weights, 0.0)
+    return out
+
+
+def _split_errors(order: np.ndarray, weights: np.ndarray,
+                  out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted error of the polarity +1 stump at every split (column) of
+    each presorted row, and each row's total weight. Split i puts the i
+    smallest values below the threshold. weights come from _split_weights;
+    one complex cumsum gives the running positive and negative weight at
+    once, each part added on its own, so both keep the bits of a float64
+    cumsum. out is complex scratch with n + 1 columns, the first zero."""
+    np.cumsum(weights[order], axis=1, out=out[:, 1:])
+    cpos, cneg = out.real, out.imag
+    total_neg = cneg[:, -1:]
+    return cpos + (total_neg - cneg), cpos[:, -1] + total_neg[:, 0]
 
 
 def _best_feature_errors(order: np.ndarray, tied: np.ndarray,
                          labels: np.ndarray,
                          weights: np.ndarray) -> np.ndarray:
-    """Per-feature minimal stump error over presorted columns.
+    """Per-feature minimal stump error over presorted rows.
 
     Polarity -1 errs where +1 is right, so its error is total - err_p.
     Rounding is monotone, so the smallest total - err_p over the valid
     splits is total - (the largest valid err_p), bit for bit.
     """
-    n, nf = order.shape
-    width = min(nf, _CHUNK)
-    cpos = np.zeros((n + 1, width))
-    cneg = np.zeros((n + 1, width))
+    nf, n = order.shape
+    split_weights = _split_weights(labels, weights)
+    scratch = np.zeros((min(nf, _CHUNK), n + 1), dtype=np.complex128)
     out = np.empty(nf)
     for lo in range(0, nf, _CHUNK):
-        mask = tied[:, lo:lo + _CHUNK]
-        m = mask.shape[1]
-        err_p, total = _split_errors(order[:, lo:lo + _CHUNK], labels,
-                                     weights, cpos[:, :m], cneg[:, :m])
+        mask = tied[lo:lo + _CHUNK]
+        m = len(mask)
+        err_p, total = _split_errors(order[lo:lo + _CHUNK], split_weights,
+                                     scratch[:m])
         np.copyto(err_p, np.inf, where=mask)
-        best_p = err_p.min(axis=0)
+        best_p = err_p.min(axis=1)
         np.copyto(err_p, -np.inf, where=mask)
-        out[lo:lo + m] = np.minimum(best_p, total - err_p.max(axis=0))
+        out[lo:lo + m] = np.minimum(best_p, total - err_p.max(axis=1))
     return out
 
 
 def _best_stump(values: np.ndarray, order: np.ndarray, tied: np.ndarray,
                 labels: np.ndarray, weights: np.ndarray) -> StumpFit:
-    """Best stump on one presorted column: the first minimum over the
-    candidates in split order, polarity +1 before -1 at each split. Its
-    error is the column's entry in _best_feature_errors."""
+    """Best stump on one feature's values, presorted order and tied mask:
+    the first minimum over the candidates in split order, polarity +1
+    before -1 at each split. Its error is the feature's entry in
+    _best_feature_errors."""
     n = len(order)
-    err_p, total = _split_errors(order, labels, weights, np.zeros(n + 1),
-                                 np.zeros(n + 1))
-    err = np.stack([err_p, total - err_p], axis=1)
+    err_p, total = _split_errors(order[None], _split_weights(labels, weights),
+                                 np.zeros((1, n + 1), dtype=np.complex128))
+    err = np.stack([err_p[0], total[0] - err_p[0]], axis=1)
     err[tied] = np.inf
     split, minus = divmod(int(np.argmin(err)), 2)
     v = np.concatenate([[-math.inf], values[order], [math.inf]])
@@ -369,7 +407,7 @@ def train_weak(values: np.ndarray, labels: np.ndarray,
     if not np.all(np.isin(labels, (1, -1))):
         raise ValueError("labels must be +1 or -1")
     order, tied = _presort(values[:, None])
-    return _best_stump(values, order[:, 0], tied[:, 0], labels, weights)
+    return _best_stump(values, order[0], tied[0], labels, weights)
 
 
 def boost(values: np.ndarray, labels: np.ndarray,
@@ -378,7 +416,9 @@ def boost(values: np.ndarray, labels: np.ndarray,
 
     Weights start uniform and are renormalized each round; correctly
     classified samples are scaled by beta = eps / (1 - eps) with eps clamped
-    away from 0 and 1.
+    away from 0 and 1. The search reads one row of values.T per feature, so
+    it runs fastest on the transpose of a C-ordered (F, n) array, as
+    feature_value_matrix returns.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
@@ -390,16 +430,17 @@ def boost(values: np.ndarray, labels: np.ndarray,
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     order, tied = _presort(values)
+    rows = values.T
     w = np.full(n, 1.0 / n)
     picked: list[BoostRound] = []
     for _ in range(rounds):
         w = w / w.sum()
         f = int(np.argmin(_best_feature_errors(order, tied, labels, w)))
-        fit = _best_stump(values[:, f], order[:, f], tied[:, f], labels, w)
+        fit = _best_stump(rows[f], order[f], tied[f], labels, w)
         eps = min(max(fit.error, _EPS_CLAMP), 1.0 - _EPS_CLAMP)
         beta = eps / (1.0 - eps)
         alpha = math.log(1.0 / beta)
-        h = stump_predict(values[:, f], fit.threshold, fit.polarity)
+        h = stump_predict(rows[f], fit.threshold, fit.polarity)
         w = np.where(h == labels, w * beta, w)
         picked.append(BoostRound(f, fit.threshold, fit.polarity, alpha,
                                  fit.error))
@@ -425,20 +466,21 @@ def feature_grid(base_w: int, base_h: int, step: int) -> list[HaarFeature]:
 def feature_value_matrix(windows: np.ndarray,
                          features: Sequence[HaarFeature]) -> np.ndarray:
     """Variance-normalized feature values of an (n, h, w) stack of windows,
-    shape (n windows, n features)."""
+    shape (n windows, n features): the transpose of a C-ordered array with
+    one row per feature, which is the layout boost reads."""
     n, h, w = windows.shape
     # one row of windows per flat offset
     sums, squares = summed_areas(windows.transpose(1, 2, 0)).reshape(
         2, (h + 1) * (w + 1), n)
     stride = w + 1
-    window = _flat_offsets([(0, 0, w, h)], stride)
+    window = _flat_offsets(np.array([[0], [0], [w], [h]]), stride)
     div = _window_divisor(sums[window], squares[window], w * h)
-    out = np.empty((n, len(features)))
+    out = np.empty((len(features), n))
     for lo in range(0, len(features), _CHUNK):
         table = _feature_table(features[lo:lo + _CHUNK], 1.0, stride)
-        out[:, lo:lo + table.n] = _feature_values(
-            _rect_sums(sums[table.offsets]), table, div).T
-    return out
+        out[lo:lo + table.n] = _feature_values(
+            _rect_sums(sums[table.offsets]), table, div)
+    return out.T
 
 
 def stage_scores(stage: Stage, values_by_weak: np.ndarray) -> np.ndarray:
@@ -532,7 +574,8 @@ def _scan_level(cascade: Cascade, scale: float, stride: int) -> _ScanLevel:
                                scale, stride))
         for stage in cascade.stages)
     return _ScanLevel(scale, win_w, win_h,
-                      _flat_offsets([(0, 0, win_w, win_h)], stride), stages)
+                      _flat_offsets(np.array([[0], [0], [win_w], [win_h]]),
+                                    stride), stages)
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,10 +1,11 @@
-"""ROI geometry (face normalization, eye/mouth windows), feature vector
-assembly, and PCA compression.
+"""ROI geometry (eye/mouth windows of the face normalized to a square),
+feature vector assembly, and PCA compression.
 
 The feature vector layout is eye ROI pixels row-major (2400 entries for the
 default 80x30 window) followed by mouth ROI pixels row-major (1600 for
 40x40), each scaled into [0, 1]. With the default geometry that is exactly
-4000 entries.
+4000 entries. The windows are cut from the face box resized to
+face_side x face_side; only the windows themselves are resized.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadK, DegenerateData, DimensionMismatch, WrongDimensions
-from .imaging import Image, Rect, crop, resize_bilinear
+from .imaging import Image, Rect, crop, resize_bilinear, resize_block
 from .textmodel import ModelText, count, format_floats, render
 
 
@@ -41,23 +42,6 @@ DEFAULT_GEOMETRY = RoiGeometry()
 assert DEFAULT_GEOMETRY.vector_length == 4000
 
 
-def normalize_face(img: Image, box: Rect,
-                   face_side: int = 100) -> Image:
-    """Crop the face box and rescale it to the square working size."""
-    return resize_bilinear(crop(img, box), face_side, face_side)
-
-
-def extract_rois(face: Image,
-                 geometry: RoiGeometry = DEFAULT_GEOMETRY) -> tuple[Image, Image]:
-    """Cut the eye and mouth windows out of a normalized face (pure crops)."""
-    side = geometry.face_side
-    if face.channels != 1 or face.width != side or face.height != side:
-        raise WrongDimensions(
-            f"expected {side}x{side} grayscale face, got "
-            f"{face.width}x{face.height} with {face.channels} channel(s)")
-    return crop(face, geometry.eye), crop(face, geometry.mouth)
-
-
 def assemble(eye: Image, mouth: Image,
              geometry: RoiGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """Concatenate eye then mouth pixels row-major, scaled by 1/255."""
@@ -73,10 +57,25 @@ def assemble(eye: Image, mouth: Image,
 
 def frame_features(img: Image, box: Rect,
                    geometry: RoiGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
-    """normalize_face -> extract_rois -> assemble for one frame."""
-    face = normalize_face(img, box, geometry.face_side)
-    eye, mouth = extract_rois(face, geometry)
-    return assemble(eye, mouth, geometry)
+    """The feature vector of the face in box: the eye and mouth windows of
+    the box resized to face_side x face_side, assembled. Only the windows
+    are resized, so only the pixels of roi_block(box, geometry) are read."""
+    face = crop(img, box)
+    side = geometry.face_side
+    return assemble(resize_bilinear(face, side, side, geometry.eye),
+                    resize_bilinear(face, side, side, geometry.mouth),
+                    geometry)
+
+
+def roi_block(box: Rect, geometry: RoiGeometry = DEFAULT_GEOMETRY) -> Rect:
+    """The frame pixels frame_features reads for the face in box: the
+    bounding rect of the eye and mouth windows' resize_block."""
+    side = geometry.face_side
+    eye, mouth = (resize_block(box.w, box.h, side, side, window)
+                  for window in (geometry.eye, geometry.mouth))
+    x, y = min(eye.x, mouth.x), min(eye.y, mouth.y)
+    return Rect(box.x + x, box.y + y, max(eye.x2, mouth.x2) - x,
+                max(eye.y2, mouth.y2) - y)
 
 
 # ---------------------------------------------------------------------------

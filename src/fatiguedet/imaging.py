@@ -1,9 +1,9 @@
 """Grayscale/RGB image substrate: binary PNM codec, grayscale conversion,
 bilinear resizing, integral images, and the denoise-then-enhance
 preprocessing chain: a table-driven 5x5 bilateral filter and tile CLAHE
-built in one pass. Every step of the chain takes an optional region and
-returns exactly the crop of its whole-image result to that region, reading
-only the pixels that crop depends on.
+built in one pass. The resize and every step of the chain take an optional
+region and return exactly the crop of their whole-image result to that
+region, reading only the pixels that crop depends on.
 
 All operations are pure; Image values are immutable after construction.
 """
@@ -213,28 +213,51 @@ def to_grayscale(img: Image) -> Image:
     return Image.from_float(g)
 
 
-def resize_bilinear(img: Image, new_w: int, new_h: int) -> Image:
-    """Resize a grayscale image with pixel-center-aligned bilinear sampling."""
+def _resize_axis(dst_size: int, src_size: int, start: int, stop: int):
+    """One axis of resize_bilinear for destination coordinates
+    start..stop-1: the lower and upper source coordinate each samples and
+    the upper one's weight."""
+    c = (np.arange(start, stop) + 0.5) * (src_size / dst_size) - 0.5
+    c = np.clip(c, 0.0, src_size - 1.0)
+    lo = np.floor(c).astype(np.int64)
+    hi = np.minimum(lo + 1, src_size - 1)
+    return lo, hi, c - lo
+
+
+def resize_block(width: int, height: int, new_w: int, new_h: int,
+                 region: Rect) -> Rect:
+    """The source pixels that region's pixels read in resize_bilinear of a
+    width x height image to new_w x new_h: from the lower source pixel of
+    the region's first row (column) to the upper one of its last."""
+    x0, x1, _ = _resize_axis(new_w, width, region.x, region.x2)
+    y0, y1, _ = _resize_axis(new_h, height, region.y, region.y2)
+    return Rect(int(x0[0]), int(y0[0]), int(x1[-1] - x0[0]) + 1,
+                int(y1[-1] - y0[0]) + 1)
+
+
+def resize_bilinear(img: Image, new_w: int, new_h: int,
+                    region: Rect | None = None) -> Image:
+    """Resize a grayscale image with pixel-center-aligned bilinear sampling.
+
+    With a region of the new_w x new_h result, the result is
+    crop(resize_bilinear(img, new_w, new_h), region), read from the pixels
+    of resize_block alone. No region is the whole result.
+    """
     if img.channels != GRAY:
         raise ValueError("resize_bilinear expects a grayscale image")
     if new_w <= 0 or new_h <= 0:
         raise ValueError("target dimensions must be positive")
+    if region is None:
+        region = Rect(0, 0, new_w, new_h)
+    _check_inside(region, new_w, new_h)
     if new_w == img.width and new_h == img.height:
-        return img
-    src = img.as_float()
-
-    def axis_coords(dst_size: int, src_size: int):
-        c = (np.arange(dst_size) + 0.5) * (src_size / dst_size) - 0.5
-        c = np.clip(c, 0.0, src_size - 1.0)
-        lo = np.floor(c).astype(np.int64)
-        hi = np.minimum(lo + 1, src_size - 1)
-        return lo, hi, c - lo
-
-    x0, x1, fx = axis_coords(new_w, img.width)
-    y0, y1, fy = axis_coords(new_h, img.height)
-    fy = fy[:, None]
-    top = src[y0[:, None], x0] * (1 - fx) + src[y0[:, None], x1] * fx
-    bot = src[y1[:, None], x0] * (1 - fx) + src[y1[:, None], x1] * fx
+        return crop(img, region)
+    x0, x1, fx = _resize_axis(new_w, img.width, region.x, region.x2)
+    y0, y1, fy = _resize_axis(new_h, img.height, region.y, region.y2)
+    src = img.pixels
+    y0, y1, fy = y0[:, None], y1[:, None], fy[:, None]
+    top = src[y0, x0] * (1 - fx) + src[y0, x1] * fx
+    bot = src[y1, x0] * (1 - fx) + src[y1, x1] * fx
     return Image.from_float(top * (1 - fy) + bot * fy)
 
 
@@ -249,6 +272,16 @@ def crop(img: Image, rect: Rect) -> Image:
         raise ValueError("crop expects a grayscale image")
     _check_inside(rect, img.width, img.height)
     return Image.from_array(img.pixels[rect.y:rect.y2, rect.x:rect.x2])
+
+
+def paste(img: Image, rect: Rect, width: int, height: int) -> Image:
+    """A width x height grayscale image that holds img's pixels at rect,
+    which has img's size, and zero elsewhere: crop(paste(img, rect, ...),
+    rect) == img."""
+    _check_inside(rect, width, height)
+    pixels = np.zeros((height, width), dtype=np.uint8)
+    pixels[rect.y:rect.y2, rect.x:rect.x2] = img.pixels
+    return Image(width, height, GRAY, pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +519,6 @@ def preprocess(img: Image, config: PreprocessConfig = DEFAULT_PREPROCESS,
         return denoise(gray, *sigmas, region)
     block = clahe_block(gray.width, gray.height, config.clahe_tiles, region)
     # enhance_contrast reads the block where it lies in the frame
-    pixels = np.zeros((gray.height, gray.width), dtype=np.uint8)
-    pixels[block.y:block.y2, block.x:block.x2] = denoise(
-        gray, *sigmas, block).pixels
-    return enhance_contrast(Image(gray.width, gray.height, GRAY, pixels),
-                            config.clahe_tiles, config.clahe_clip_limit,
-                            region)
+    return enhance_contrast(
+        paste(denoise(gray, *sigmas, block), block, gray.width, gray.height),
+        config.clahe_tiles, config.clahe_clip_limit, region)

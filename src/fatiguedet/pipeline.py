@@ -39,7 +39,8 @@ from .errors import (
     SingleClass,
 )
 from .features import PcaModel, RoiGeometry, load_pca, save_pca
-from .imaging import Image, PreprocessConfig, Rect, load_pnm, preprocess
+from .imaging import Image, PreprocessConfig, Rect, load_pnm, paste, \
+    preprocess
 from .textmodel import ModelText, format_floats, integer, real, render
 
 logger = logging.getLogger(__name__)
@@ -337,8 +338,8 @@ def frame_box(img: Image, model_or_cascade, scan: ScanConfig,
     """Face box for one preprocessed frame.
 
     With a cascade, the largest detected box wins (the driver sits nearest
-    the camera); without one, the manifest ground-truth box or whole frame
-    is used.
+    the camera); without one, the fallback (the manifest ground-truth box)
+    or else the whole frame is used.
     """
     if model_or_cascade is not None:
         return _largest_box(detect(img, model_or_cascade, scan))
@@ -353,14 +354,20 @@ def frame_vectors(frames: Iterable[Image],
                   cascade: Cascade | None, scan: ScanConfig,
                   ) -> Iterator[np.ndarray | None]:
     """Each frame's feature vector, or None where no face box is found, one
-    frame at a time on one path: preprocess, frame_box, frame_features.
-    Without a cascade, boxes[i] (else the whole frame) is frame i's face
-    box, so preprocess returns only its pixels and frame_box takes them
-    all; with a cascade the whole frame is preprocessed and scanned."""
-    for i, img in enumerate(frames):
-        region = boxes[i] if cascade is None and boxes is not None else None
-        img = preprocess(img, prep, region)
-        box = frame_box(img, cascade, scan, None)
+    frame at a time on one path: preprocess a region, paste it into a zero
+    frame, frame_box, frame_features. With a cascade the region is the
+    whole frame, which the cascade scans. Without one, boxes[i] (else the
+    whole frame) is frame i's face box, and the region is its roi_block:
+    the only pixels frame_features reads."""
+    for i, frame in enumerate(frames):
+        fallback = boxes[i] if boxes is not None else None
+        region = whole = Rect(0, 0, frame.width, frame.height)
+        if cascade is None:
+            region = features.roi_block(
+                whole if fallback is None else fallback, geometry)
+        img = paste(preprocess(frame, prep, region), region, frame.width,
+                    frame.height)
+        box = frame_box(img, cascade, scan, fallback)
         yield None if box is None else \
             features.frame_features(img, box, geometry)
 

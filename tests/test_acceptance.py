@@ -23,8 +23,8 @@ from fatiguedet.fatigue import (
     simulate,
     step,
 )
-from fatiguedet.imaging import Image, Rect, integral_image, load_pnm, \
-    rect_sum, save_pnm
+from fatiguedet.imaging import Image, Rect, crop, integral_image, load_pnm, \
+    rect_sum, resize_bilinear, save_pnm
 from fatiguedet.pipeline import evaluate, fit_pipeline, ingest, \
     pipeline_predict, PipelineConfig
 from fatiguedet.synth import SyntheticSpec, generate, train_face_cascade, \
@@ -52,12 +52,16 @@ def test_c01_roi_geometry_invariant(rng):
         for _ in range(5):
             frame = Image.from_array(
                 rng.integers(0, 256, size=(160, 160), dtype=np.uint8))
-            face = features.normalize_face(frame, Rect(10, 20, 130, 130))
+            box = Rect(10, 20, 130, 130)
+            face = resize_bilinear(crop(frame, box), 100, 100)
             assert (face.width, face.height) == (100, 100)
-            eye, mouth = features.extract_rois(face)
+            geometry = features.DEFAULT_GEOMETRY
+            eye = resize_bilinear(crop(frame, box), 100, 100, geometry.eye)
+            mouth = resize_bilinear(crop(frame, box), 100, 100,
+                                    geometry.mouth)
             assert (eye.width, eye.height) == (80, 30)
             assert (mouth.width, mouth.height) == (40, 40)
-            vec = features.assemble(eye, mouth)
+            vec = features.frame_features(frame, box)
             assert vec.shape == (4000,)
             assert np.array_equal(vec[:2400] * 255.0,
                                   face.pixels[20:50, 10:90].ravel())

@@ -384,6 +384,27 @@ class TestExitCodes:
                      str(cascade)]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("factor", ["1.001", "1.000001", "1"])
+    def test_scan_factor_below_floor_is_refused(self, workdir, tmp_path,
+                                                factor, capsys):
+        # a factor just above 1 would compile about 1 / ln(factor) scan
+        # levels: refused from a config file (data) and a PIPE1 (model)
+        manifest = str(workdir / "data" / "manifest.csv")
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(f"scale_factor = {factor}\n")
+        assert main(["train", "--manifest", manifest, "--out-dir",
+                     str(tmp_path / "never"), "--config", str(cfg)]) == 2
+        assert "scale_factor must be finite and at least 1.01" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+        model = tmp_path / "model.pipe1"
+        model.write_text(PIPE_TEXT.replace("scale_factor = 1.25",
+                                           f"scale_factor = {factor}"))
+        assert main(["eval", "--manifest", manifest, "--model",
+                     str(model)]) == 3
+        assert "scale_factor must be finite and at least 1.01" in \
+            capsys.readouterr().err
+
     def test_repeated_config_key_is_data_error(self, workdir, tmp_path,
                                                capsys):
         cfg = tmp_path / "pipeline.cfg"

@@ -262,6 +262,7 @@ class TestEvalFeature:
                            ).astype(np.uint8)
         values = feature_value_matrix(windows, feats)
         assert values.shape == (len(windows), len(feats))
+        assert values.T.flags.c_contiguous  # one row per feature
         for i, window in enumerate(windows):
             ii = integral_image(gray(window))
             for j, feat in enumerate(feats):
@@ -425,6 +426,64 @@ def tied_matrix(rng, n, nf):
     return values
 
 
+def reference_table(features, scale, stride):
+    """A _FeatureTable's arrays built one feature at a time: each sub-rect
+    corner rounded half up on its own, rows in scorer order (every first
+    sub-rect, every second, then the third and fourth of the features that
+    have them)."""
+    cells = [[], [], [], []]
+    for feature in features:
+        for k, (x1, y1, x2, y2, wgt) in enumerate(feature.sub_rects()):
+            sx1, sy1, sx2, sy2 = (iround(c * scale) for c in (x1, y1, x2, y2))
+            actual = (sx2 - sx1) * (sy2 - sy1)
+            if actual <= 0:
+                raise ValueError("degenerate")
+            ideal = (x2 - x1) * (y2 - y1) * scale * scale
+            cells[k].append((sx1, sy1, sx2, sy2, float(actual), wgt * ideal))
+    rows = [row for cell in cells for row in cell]
+    x1, y1, x2, y2 = (np.array([r[i] for r in rows], dtype=np.intp)
+                      for i in range(4))
+    return {"offsets": np.concatenate([y2 * stride + x2, y1 * stride + x2,
+                                       y2 * stride + x1, y1 * stride + x1]),
+            "actual": np.array([[r[4]] for r in rows]),
+            "coeff": np.array([[r[5]] for r in rows]),
+            "third": np.array([i for i, f in enumerate(features)
+                               if len(f.sub_rects()) > 2], dtype=np.intp),
+            "fourth": np.array([i for i, f in enumerate(features)
+                                if len(f.sub_rects()) > 3], dtype=np.intp)}
+
+
+class TestFeatureTable:
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_matches_per_feature_reference(self, data):
+        kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=1,
+                                   max_size=12))
+        feats = [random_feature(data.draw, kind, 24, 24) for kind in kinds]
+        scale = data.draw(st.sampled_from([1.0, 1.25, 1.5625, 2.0, 3.0, 6.0])
+                          | st.floats(0.1, 6.0))
+        stride = data.draw(st.integers(25, 200))
+        try:
+            want = reference_table(feats, scale, stride)
+        except ValueError:
+            with pytest.raises(ValueError, match="degenerate sub-rect"):
+                detector._feature_table(feats, scale, stride)
+            return
+        table = detector._feature_table(feats, scale, stride)
+        assert table.n == len(feats)
+        for name, expected in want.items():
+            got = getattr(table, name)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected), name
+
+    def test_degenerate_sub_rect_is_refused(self):
+        # at scale 0.3 the 1 px rows round to 0 px
+        feat = HaarFeature("2H", Rect(0, 0, 2, 1))
+        with pytest.raises(ValueError,
+                           match="degenerate sub-rect at scale 0.3"):
+            detector._feature_table([feat], 0.3, 25)
+
+
 class TestBoost:
     def test_single_round_separable(self):
         values = np.array([[1.0], [2.0], [9.0], [10.0]])
@@ -496,6 +555,59 @@ class TestBoost:
             assert np.array_equal(
                 detector._best_feature_errors(order, tied, labels, w),
                 _best_feature_errors(values, labels, w))
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_presort_is_the_stable_argsort(self, data):
+        # few distinct values, so ties everywhere; -0.0 ties with 0.0 and
+        # NaNs sort last, in index order
+        pool = data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf, math.nan])
+            | st.floats(allow_nan=True), min_size=1, max_size=6))
+        n, nf = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 150))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        values = rng.choice(np.array(pool), size=(n, nf))
+        constant = rng.random(nf) < 0.2
+        values[:, constant] = values[0, constant]
+        order, tied = detector._presort(values)
+        stable = np.argsort(values, axis=0, kind="stable")
+        v = np.take_along_axis(values, stable, axis=0)
+        assert order.dtype == np.int32
+        assert np.array_equal(order, stable.T)
+        assert tied.shape == (nf, n + 1)
+        assert not tied[:, 0].any() and not tied[:, n].any()
+        assert np.array_equal(tied[:, 1:n], (v[1:] <= v[:-1]).T)
+
+    def test_presort_keys_past_int32(self, rng):
+        # about 63,000 runs of equal values times n = 100,000 passes the
+        # int32 range, so the tie keys must be int64
+        n = 100_000
+        values = rng.integers(0, n, size=(n, 1)).astype(np.float64)
+        order, _ = detector._presort(values)
+        assert np.array_equal(order[0], np.argsort(values[:, 0],
+                                                   kind="stable"))
+
+    def test_complex_split_errors_match_two_cumsums(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 60))
+            nf = int(rng.integers(1, 80))
+            values = tied_matrix(rng, n, nf)
+            labels = rng.choice([1, -1], size=n)
+            w = rng.random(n) ** 8  # weights over many binades
+            w /= w.sum()
+            order, _ = detector._presort(values)
+            err_p, total = detector._split_errors(
+                order, detector._split_weights(labels, w),
+                np.zeros((nf, n + 1), dtype=np.complex128))
+            # one float64 cumsum per class, down each presorted column
+            cpos = np.zeros((n + 1, nf))
+            cneg = np.zeros((n + 1, nf))
+            np.cumsum(np.where(labels == 1, w, 0.0)[order.T], axis=0,
+                      out=cpos[1:])
+            np.cumsum(np.where(labels == -1, w, 0.0)[order.T], axis=0,
+                      out=cneg[1:])
+            assert np.array_equal(err_p, (cpos + (cneg[-1] - cneg)).T)
+            assert np.array_equal(total, cpos[-1] + cneg[-1])
 
     def test_rounds_match_argsort_boost(self, rng):
         for _ in range(20):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fatiguedet.errors import (
     BadK,
@@ -14,12 +15,12 @@ from fatiguedet.features import (
     DEFAULT_GEOMETRY,
     RoiGeometry,
     assemble,
-    extract_rois,
+    frame_features,
     load_pca,
-    normalize_face,
     pca_fit,
     pca_project,
     pca_reconstruct,
+    roi_block,
     save_pca,
 )
 from fatiguedet.imaging import Image, Rect, crop, resize_bilinear
@@ -42,46 +43,88 @@ class TestGeometry:
             RoiGeometry(eye=Rect(30, 20, 80, 30))
 
 
+def rois_of_resized_face(img, box):
+    """The eye and mouth windows cut from the whole face box resized to
+    100 x 100: what frame_features must assemble."""
+    face = resize_bilinear(crop(img, box), 100, 100)
+    return crop(face, DEFAULT_GEOMETRY.eye), crop(face, DEFAULT_GEOMETRY.mouth)
+
+
 class TestNormalizeFace:
+    """frame_features reads the face box as if resized to face_side."""
+
     def test_pure_crop_when_already_sized(self, rng):
         pixels = rng.integers(0, 256, size=(150, 150))
-        img = gray(pixels)
-        out = normalize_face(img, Rect(20, 30, 100, 100))
-        assert np.array_equal(out.pixels, pixels[30:130, 20:120])
+        vec = frame_features(gray(pixels), Rect(20, 30, 100, 100))
+        assert np.array_equal(vec[:2400] * 255.0,
+                              pixels[50:80, 30:110].ravel())
+        assert np.array_equal(vec[2400:] * 255.0,
+                              pixels[90:130, 50:90].ravel())
 
     def test_matches_crop_then_resize(self, rng):
         img = gray(rng.integers(0, 256, size=(250, 250)))
         box = Rect(10, 25, 200, 200)
-        out = normalize_face(img, box)
-        assert out == resize_bilinear(crop(img, box), 100, 100)
+        assert np.array_equal(frame_features(img, box),
+                              assemble(*rois_of_resized_face(img, box)))
 
     def test_out_of_bounds_box(self):
         with pytest.raises(OutOfBounds):
-            normalize_face(gray(np.zeros((120, 120))), Rect(40, 40, 100, 100))
+            frame_features(gray(np.zeros((120, 120))), Rect(40, 40, 100, 100))
 
 
 class TestExtractRois:
+    """The eye and mouth windows in the vector of a face_side box."""
+
     def test_marker_at_eye_origin(self):
         canvas = np.zeros((100, 100), dtype=np.uint8)
         canvas[20, 10] = 201
-        eye, _ = extract_rois(gray(canvas))
-        assert eye.pixels[0, 0] == 201
+        vec = frame_features(gray(canvas), Rect(0, 0, 100, 100))
+        assert vec[0] * 255.0 == 201
 
     def test_marker_at_mouth_origin(self):
         canvas = np.zeros((100, 100), dtype=np.uint8)
         canvas[60, 30] = 117
-        _, mouth = extract_rois(gray(canvas))
-        assert mouth.pixels[0, 0] == 117
+        vec = frame_features(gray(canvas), Rect(0, 0, 100, 100))
+        assert vec[2400] * 255.0 == 117
 
     def test_dimensions_and_vector_length(self, rng):
-        eye, mouth = extract_rois(gray(rng.integers(0, 256, size=(100, 100))))
+        face = gray(rng.integers(0, 256, size=(100, 100)))
+        eye = resize_bilinear(face, 100, 100, DEFAULT_GEOMETRY.eye)
+        mouth = resize_bilinear(face, 100, 100, DEFAULT_GEOMETRY.mouth)
         assert (eye.width, eye.height) == (80, 30)
         assert (mouth.width, mouth.height) == (40, 40)
-        assert assemble(eye, mouth).shape == (4000,)
+        assert frame_features(face, Rect(0, 0, 100, 100)).shape == (4000,)
 
     def test_wrong_input_size(self):
         with pytest.raises(WrongDimensions):
-            extract_rois(gray(np.zeros((99, 100))))
+            assemble(gray(np.zeros((30, 80))), gray(np.zeros((40, 39))))
+
+
+class TestFrameFeatures:
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_reads_only_roi_block(self, data):
+        side = data.draw(st.integers(20, 140))
+        x, y = data.draw(st.integers(0, 10)), data.draw(st.integers(0, 10))
+        box = Rect(x, y, side, side)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        pixels = np.random.default_rng(seed).integers(
+            0, 256, size=(y + side + 3, x + side + 3), dtype=np.uint8)
+        img = gray(pixels)
+        expect = assemble(*rois_of_resized_face(img, box))
+        assert np.array_equal(frame_features(img, box), expect)
+        block = roi_block(box)
+        assert block.x >= box.x and block.y >= box.y
+        assert block.x2 <= box.x2 and block.y2 <= box.y2
+        # every pixel outside the block changed; the vector not
+        scrambled = 255 - pixels
+        scrambled[block.y:block.y2, block.x:block.x2] = \
+            pixels[block.y:block.y2, block.x:block.x2]
+        assert np.array_equal(frame_features(gray(scrambled), box), expect)
+
+    def test_roi_block_of_working_box(self):
+        # the eye and mouth windows of an 88 px box read 66% of it
+        assert roi_block(Rect(36, 36, 88, 88)) == Rect(44, 53, 72, 71)
 
 
 class TestAssemble:

@@ -20,9 +20,11 @@ from fatiguedet.imaging import (
     enhance_contrast,
     integral_image,
     load_pnm,
+    paste,
     preprocess,
     rect_sum,
     resize_bilinear,
+    resize_block,
     save_pnm,
     to_grayscale,
 )
@@ -156,6 +158,39 @@ class TestResize:
                      + src[y1, x1] * fx * fy)
                 assert out.pixels[y, x] == int(math.floor(v + 0.5))
 
+    @given(small_gray, st.integers(1, 30), st.integers(1, 30), st.data())
+    def test_region_reads_only_its_block(self, img, new_w, new_h, data):
+        x = data.draw(st.integers(0, new_w - 1))
+        y = data.draw(st.integers(0, new_h - 1))
+        region = Rect(x, y, data.draw(st.integers(1, new_w - x)),
+                      data.draw(st.integers(1, new_h - y)))
+        expect = crop(resize_bilinear(img, new_w, new_h), region)
+        assert resize_bilinear(img, new_w, new_h, region) == expect
+        block = resize_block(img.width, img.height, new_w, new_h, region)
+        assert block.inside(img.width, img.height)
+        # every pixel outside the block changed; the region's result not
+        scrambled = 255 - img.pixels
+        scrambled[block.y:block.y2, block.x:block.x2] = \
+            img.pixels[block.y:block.y2, block.x:block.x2]
+        assert resize_bilinear(gray_image(scrambled), new_w, new_h,
+                               region) == expect
+
+    @pytest.mark.parametrize("box_side, region, block", [
+        (88, Rect(10, 20, 80, 30), Rect(8, 17, 72, 28)),
+        (88, Rect(30, 60, 40, 40), Rect(26, 52, 36, 36)),
+        (100, Rect(10, 20, 80, 30), Rect(10, 20, 81, 31)),
+        (200, Rect(0, 0, 1, 1), Rect(0, 0, 2, 2))])
+    def test_resize_block_at_working_size(self, box_side, region, block):
+        # an 88 px box resized to 100 px: destination x samples source
+        # (x + 0.5) * 0.88 - 0.5, so column 10 reads 8 and 9, and 89 reads
+        # 78 and 79; at equal sizes the upper neighbour is read at weight 0
+        assert resize_block(box_side, box_side, 100, 100, region) == block
+
+    def test_region_outside_result(self):
+        with pytest.raises(OutOfBounds):
+            resize_bilinear(gray_image(np.zeros((4, 4))), 6, 6,
+                            Rect(3, 0, 4, 2))
+
 
 def brute_rect_sum(pixels, rect):
     total = 0
@@ -219,6 +254,23 @@ class TestRectSum:
         ii = integral_image(gray_image(np.zeros((4, 4))))
         with pytest.raises(OutOfBounds):
             rect_sum(ii, Rect(2, 2, 3, 3))
+
+
+class TestPaste:
+    @given(small_gray, st.data())
+    def test_crop_of_paste_is_the_image(self, img, data):
+        x, y = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        width = x + img.width + data.draw(st.integers(0, 5))
+        height = y + img.height + data.draw(st.integers(0, 5))
+        rect = Rect(x, y, img.width, img.height)
+        out = paste(img, rect, width, height)
+        assert (out.width, out.height) == (width, height)
+        assert crop(out, rect) == img
+        assert np.count_nonzero(out.pixels) == np.count_nonzero(img.pixels)
+
+    def test_rect_outside_canvas(self):
+        with pytest.raises(OutOfBounds):
+            paste(gray_image(np.ones((4, 4))), Rect(2, 0, 4, 4), 5, 5)
 
 
 class TestCrop:

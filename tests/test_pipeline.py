@@ -120,7 +120,7 @@ def configs(draw):
     return PipelineConfig(
         cascade_path=draw(st.none() | st.from_regex(r"[\w./-]{1,20}",
                                                     fullmatch=True)),
-        scan=ScanConfig(draw(_floats(1, 10, exclude_min=True)),
+        scan=ScanConfig(draw(_floats(1.01, 10)),
                         draw(_floats(0, 1, exclude_min=True)),
                         draw(_floats(0, 1, exclude_min=True)),
                         draw(st.integers(1, 50))),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fatiguedet.detector import save_cascade
-from fatiguedet.features import extract_rois, normalize_face
-from fatiguedet.imaging import load_pnm, save_pnm
+from fatiguedet.features import DEFAULT_GEOMETRY
+from fatiguedet.imaging import crop, load_pnm, resize_bilinear, save_pnm
 from fatiguedet.synth import (
     FATIGUE_MODES,
     SyntheticSpec,
@@ -72,8 +72,8 @@ class TestGenerate:
                              noise_sigma=8.0, seed=11)
         open_means, closed_means = [], []
         for rec in generate(spec):
-            face = normalize_face(rec.image, rec.box)
-            eye, _ = extract_rois(face)
+            eye = resize_bilinear(crop(rec.image, rec.box), 100, 100,
+                                  DEFAULT_GEOMETRY.eye)
             mean = float(eye.pixels.mean())
             if rec.mode in ("eyes_closed", "both"):
                 closed_means.append(mean)
@@ -87,8 +87,8 @@ class TestGenerate:
                              noise_sigma=8.0, seed=12)
         yawn, closed = [], []
         for rec in generate(spec):
-            face = normalize_face(rec.image, rec.box)
-            _, mouth = extract_rois(face)
+            mouth = resize_bilinear(crop(rec.image, rec.box), 100, 100,
+                                    DEFAULT_GEOMETRY.mouth)
             mean = float(mouth.pixels.mean())
             if rec.mode in ("yawn", "both"):
                 yawn.append(mean)
