@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, ImageTooSmall, NoFeatures
+from .errors import EmptyInput, ImageTooLarge, ImageTooSmall, NoFeatures
 from .imaging import Image, IntegralImage, Rect, integral_image, iround, \
     summed_areas
 from .textmodel import ModelText, count, finite, finite_or_inf, \
@@ -554,6 +554,12 @@ def train_cascade(positives: np.ndarray, negatives: np.ndarray,
 # ---------------------------------------------------------------------------
 # Scanning
 
+# detect refuses a frame whose scan plan holds more windows: 1920 x 1080
+# holds 1,559,176 with the default ScanConfig and a 24 x 24 base window. At
+# the cap, a first stage of 36 corner offsets peaks at about 420 MB.
+MAX_SCAN_WINDOWS = 2_000_000
+
+
 @dataclass(frozen=True, eq=False)
 class _ScanLevel:
     """A cascade compiled for one scale and integral-image row stride: the
@@ -587,17 +593,24 @@ def _scan_plan(cascade: Cascade, width: int, height: int,
     Keyed by the cascade's value, never its id (a freed cascade's id can
     be reused), and by the image size, which fixes the stride.
     """
-    plan = []
+    grids = []  # (scale, origin columns, origin rows) per level
     scale = 1.0
     while True:
-        level = _scan_level(cascade, scale, width + 1)
-        if level.win_w > width or level.win_h > height:
-            return tuple(plan)
-        step = max(1, iround(step_frac * level.win_w))
-        xs = np.arange(0, width - level.win_w + 1, step)
-        ys = np.arange(0, height - level.win_h + 1, step)
-        plan.append((level, (xs[:, None] + ys * (width + 1)).ravel()))
+        win_w = iround(cascade.base_w * scale)
+        win_h = iround(cascade.base_h * scale)
+        if win_w > width or win_h > height:
+            break
+        step = max(1, iround(step_frac * win_w))
+        grids.append((scale, np.arange(0, width - win_w + 1, step),
+                      np.arange(0, height - win_h + 1, step)))
         scale *= scale_factor
+    windows = sum(len(xs) * len(ys) for _, xs, ys in grids)
+    if windows > MAX_SCAN_WINDOWS:
+        raise ImageTooLarge(f"{width}x{height} image needs {windows} scan "
+                            f"windows, over the limit of {MAX_SCAN_WINDOWS}")
+    return tuple((_scan_level(cascade, scale, width + 1),
+                  (xs[:, None] + ys * (width + 1)).ravel())
+                 for scale, xs, ys in grids)
 
 
 def _scaled_divisor(ii: IntegralImage, level: _ScanLevel,
@@ -630,39 +643,29 @@ def _cascade_pass(ii: IntegralImage, level: _ScanLevel,
     return alive
 
 
-class _RectGroup:
-    """Raw-hit cluster anchored at its running mean box."""
-
-    def __init__(self, rect: Rect):
-        self.members = [rect]
-        self._sx, self._sy = float(rect.x), float(rect.y)
-        self._sw, self._sh = float(rect.w), float(rect.h)
-
-    def add(self, rect: Rect) -> None:
-        self.members.append(rect)
-        self._sx += rect.x
-        self._sy += rect.y
-        self._sw += rect.w
-        self._sh += rect.h
-
-    def mean_rect(self) -> Rect:
-        n = len(self.members)
-        return Rect(iround(self._sx / n), iround(self._sy / n),
-                    max(1, iround(self._sw / n)), max(1, iround(self._sh / n)))
+def _mean_rect(rects: Sequence[Rect]) -> Rect:
+    """Rounded-half-up mean x, y, w and h (w, h >= 1 when every side is)."""
+    x = y = w = h = 0
+    for r in rects:
+        x, y, w, h = x + r.x, y + r.y, w + r.w, h + r.h
+    n = len(rects)
+    return Rect(iround(x / n), iround(y / n), iround(w / n), iround(h / n))
 
 
-def _group_rects(raw: list[Rect], iou_threshold: float) -> list[_RectGroup]:
-    """Greedy clustering: each hit joins the first group whose mean box it
-    overlaps at >= iou_threshold, otherwise starts a group. Anchoring on the
-    mean keeps dense scan grids from chaining into one blob."""
-    groups: list[_RectGroup] = []
+def _group_rects(raw: list[Rect], iou_threshold: float) -> list[tuple]:
+    """Greedy clustering into (members, mean) pairs: each hit joins the
+    first group whose mean box it overlaps at >= iou_threshold, otherwise
+    starts a group of its own. Anchoring on the mean keeps dense scan grids
+    from chaining into one blob."""
+    groups: list[tuple[list[Rect], Rect]] = []
     for rect in raw:
-        for group in groups:
-            if rect.iou(group.mean_rect()) >= iou_threshold:
-                group.add(rect)
+        for i, (members, mean) in enumerate(groups):
+            if rect.iou(mean) >= iou_threshold:
+                members.append(rect)
+                groups[i] = (members, _mean_rect(members))
                 break
         else:
-            groups.append(_RectGroup(rect))
+            groups.append(([rect], rect))
     return groups
 
 
@@ -673,30 +676,30 @@ def detect(img: Image, cascade: Cascade,
     box with the group size as score, sorted by (y, x).
 
     The compiled levels and origin grids of a cascade and image size are
-    built on the first frame that needs them and reused after that."""
+    built on the first frame that needs them and reused after that; a
+    frame of over MAX_SCAN_WINDOWS windows raises ImageTooLarge first."""
     if img.channels != 1:
         raise ValueError("detect expects a grayscale image")
     if img.width < cascade.base_w or img.height < cascade.base_h:
         raise ImageTooSmall(
             f"{img.width}x{img.height} image is smaller than the "
             f"{cascade.base_w}x{cascade.base_h} base window")
+    plan = _scan_plan(cascade, img.width, img.height, scan.scale_factor,
+                      scan.step_frac)
     ii = integral_image(img)
     raw: list[Rect] = []
-    for level, base in _scan_plan(cascade, img.width, img.height,
-                                  scan.scale_factor, scan.step_frac):
+    for level, base in plan:
         ys, xs = np.divmod(base[_cascade_pass(ii, level, base)],
                            img.width + 1)
         raw.extend(Rect(int(x), int(y), level.win_w, level.win_h)
                    for x, y in zip(xs, ys))
     raw.sort(key=lambda r: (r.y, r.x, r.w, r.h))
     boxes: list[FaceBox] = []
-    for group in _group_rects(raw, scan.group_iou):
-        if len(group.members) < scan.min_neighbors:
+    for members, m in _group_rects(raw, scan.group_iou):
+        if len(members) < scan.min_neighbors:
             continue
-        m = group.mean_rect()
         boxes.append(FaceBox(Rect(m.x, m.y, min(m.w, img.width - m.x),
-                                  min(m.h, img.height - m.y)),
-                             len(group.members)))
+                                  min(m.h, img.height - m.y)), len(members)))
     boxes.sort(key=lambda b: (b.rect.y, b.rect.x))
     return boxes
 

@@ -48,6 +48,10 @@ class ImageTooSmall(DataError):
     pass
 
 
+class ImageTooLarge(DataError):
+    pass
+
+
 # features
 class WrongDimensions(DataError):
     pass

@@ -65,7 +65,7 @@ class AlertConfig:
     t_high: int = 15
     alarm_duration: float = 10.0
     high_persist: float = 5.0
-    water_spray_enabled: bool = False
+    water_spray: bool = False
     sample_period: float = 1.0
     realarm_on_recheck: bool = False
 
@@ -159,7 +159,7 @@ def alert_step(state: AlertState, lvl: FatigueLevel, config: AlertConfig,
             if isinstance(state, Idle):
                 emit(EventKind.ALARM_ON)
             emit(EventKind.REDUCE_SPEED)
-            if config.water_spray_enabled:
+            if config.water_spray:
                 emit(EventKind.WATER_SPRAY)
             held, stop = 0, False
         if not stop and held >= config.ticks(config.high_persist):
@@ -222,7 +222,7 @@ class Trace:
         lines = ["# t_low=%d t_high=%d alarm_duration=%s high_persist=%s "
                  "water_spray=%d sample_period=%s" % (
                      c.t_low, c.t_high, _fmt(c.alarm_duration),
-                     _fmt(c.high_persist), int(c.water_spray_enabled),
+                     _fmt(c.high_persist), int(c.water_spray),
                      _fmt(c.sample_period))]
         for tick in self.ticks:
             t = _fmt(tick.t)

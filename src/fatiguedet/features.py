@@ -24,18 +24,19 @@ class RoiGeometry:
     """Fixed windows cut from the normalized face image."""
 
     face_side: int = 100
-    eye: Rect = Rect(10, 20, 80, 30)
-    mouth: Rect = Rect(30, 60, 40, 40)
+    eye_window: Rect = Rect(10, 20, 80, 30)
+    mouth_window: Rect = Rect(30, 60, 40, 40)
 
     def __post_init__(self):
-        for name, r in (("eye", self.eye), ("mouth", self.mouth)):
+        for name, r in (("eye", self.eye_window),
+                        ("mouth", self.mouth_window)):
             if not r.inside(self.face_side, self.face_side):
                 raise ValueError(f"{name} window {r} does not fit in "
                                  f"{self.face_side}x{self.face_side} face")
 
     @property
     def vector_length(self) -> int:
-        return self.eye.area + self.mouth.area
+        return self.eye_window.area + self.mouth_window.area
 
 
 DEFAULT_GEOMETRY = RoiGeometry()
@@ -45,13 +46,11 @@ assert DEFAULT_GEOMETRY.vector_length == 4000
 def assemble(eye: Image, mouth: Image,
              geometry: RoiGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """Concatenate eye then mouth pixels row-major, scaled by 1/255."""
-    if (eye.width, eye.height) != (geometry.eye.w, geometry.eye.h):
-        raise WrongDimensions(f"eye ROI must be {geometry.eye.w}x"
-                              f"{geometry.eye.h}, got {eye.width}x{eye.height}")
-    if (mouth.width, mouth.height) != (geometry.mouth.w, geometry.mouth.h):
-        raise WrongDimensions(
-            f"mouth ROI must be {geometry.mouth.w}x{geometry.mouth.h}, "
-            f"got {mouth.width}x{mouth.height}")
+    for name, roi, window in (("eye", eye, geometry.eye_window),
+                              ("mouth", mouth, geometry.mouth_window)):
+        if (roi.width, roi.height) != (window.w, window.h):
+            raise WrongDimensions(f"{name} ROI must be {window.w}x{window.h}, "
+                                  f"got {roi.width}x{roi.height}")
     return np.concatenate([eye.pixels.ravel(), mouth.pixels.ravel()]) / 255.0
 
 
@@ -62,8 +61,8 @@ def frame_features(img: Image, box: Rect,
     are resized, so only the pixels of roi_block(box, geometry) are read."""
     face = crop(img, box)
     side = geometry.face_side
-    return assemble(resize_bilinear(face, side, side, geometry.eye),
-                    resize_bilinear(face, side, side, geometry.mouth),
+    return assemble(resize_bilinear(face, side, side, geometry.eye_window),
+                    resize_bilinear(face, side, side, geometry.mouth_window),
                     geometry)
 
 
@@ -72,7 +71,7 @@ def roi_block(box: Rect, geometry: RoiGeometry = DEFAULT_GEOMETRY) -> Rect:
     bounding rect of the eye and mouth windows' resize_block."""
     side = geometry.face_side
     eye, mouth = (resize_block(box.w, box.h, side, side, window)
-                  for window in (geometry.eye, geometry.mouth))
+                  for window in (geometry.eye_window, geometry.mouth_window))
     x, y = min(eye.x, mouth.x), min(eye.y, mouth.y)
     return Rect(box.x + x, box.y + y, max(eye.x2, mouth.x2) - x,
                 max(eye.y2, mouth.y2) - y)

@@ -250,8 +250,6 @@ def resize_bilinear(img: Image, new_w: int, new_h: int,
     if region is None:
         region = Rect(0, 0, new_w, new_h)
     _check_inside(region, new_w, new_h)
-    if new_w == img.width and new_h == img.height:
-        return crop(img, region)
     x0, x1, fx = _resize_axis(new_w, img.width, region.x, region.x2)
     y0, y1, fy = _resize_axis(new_h, img.height, region.y, region.y2)
     src = img.pixels
@@ -424,7 +422,7 @@ def enhance_contrast(img: Image, tiles: int = 8, clip_limit: float = 2.0,
         raise ValueError("enhance_contrast expects a grayscale image")
     if tiles < 1:
         raise ValueError("tiles must be >= 1")
-    if clip_limit < 1.0:
+    if not clip_limit >= 1.0:
         raise ValueError("clip_limit must be >= 1.0")
     if region is None:
         region = Rect(0, 0, img.width, img.height)
@@ -442,10 +440,9 @@ def enhance_contrast(img: Image, tiles: int = 8, clip_limit: float = 2.0,
     raw = np.bincount(key.ravel(), minlength=ty * tx * 256).reshape(-1, 256)
     hist = raw.astype(np.float64)
     n = hist.sum(axis=1, keepdims=True)  # pixels per tile
-    if math.isfinite(clip_limit):
-        clip = clip_limit * n / 256.0
-        excess = np.maximum(hist - clip, 0.0).sum(axis=1, keepdims=True)
-        hist = np.minimum(hist, clip) + excess / 256.0
+    clip = clip_limit * n / 256.0  # inf leaves hist as it is
+    excess = np.maximum(hist - clip, 0.0).sum(axis=1, keepdims=True)
+    hist = np.minimum(hist, clip) + excess / 256.0
     cdf = np.cumsum(hist, axis=1)
     cdf_min = np.take_along_axis(cdf, np.argmax(hist > 0, axis=1)[:, None], 1)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 when one bin

@@ -173,8 +173,8 @@ class PipelineConfig:
 # entry: the '#' heading line before its keys (or None), the PipelineConfig
 # field whose dataclass holds the keys (None: the config itself; a PIPE1
 # section is named after its field), and the keys in file order. A key
-# names its field except where _FIELD_OF renames it; a value is parsed by
-# its field's type, and only an `X | None` field may be left empty.
+# names its field; a value is parsed by its field's type, and only an
+# `X | None` field may be left empty.
 _CONFIG_TABLE = (
     ("# face detector ('cascade_path' empty disables detection)", None,
      ("cascade_path",)),
@@ -195,8 +195,6 @@ _CONFIG_TABLE = (
       "sample_period", "realarm_on_recheck")),
     ("# misc", None, ("seed",)),
 )
-_FIELD_OF = {"eye_window": "eye", "mouth_window": "mouth",
-             "water_spray": "water_spray_enabled"}
 _KEYS_OF = {attr: tuple(k for _, a, keys in _CONFIG_TABLE if a == attr
                         for k in keys) for _, attr, _ in _CONFIG_TABLE}
 CONFIG_KEYS = frozenset(k for keys in _KEYS_OF.values() for k in keys)
@@ -217,8 +215,7 @@ def _format_value(value) -> str:
 
 
 def _key_lines(obj, keys: Sequence[str]) -> list[str]:
-    return [f"{key} = {_format_value(getattr(obj, _FIELD_OF.get(key, key)))}"
-            for key in keys]
+    return [f"{key} = {_format_value(getattr(obj, key))}" for key in keys]
 
 
 def render_config(cfg: PipelineConfig) -> str:
@@ -264,9 +261,8 @@ def _update(obj, keys: Sequence[str], values: dict[str, str]):
     changes = {}
     for key in keys:
         if key in values:
-            field = _FIELD_OF.get(key, key)
             try:
-                changes[field] = _parse_value(hints[field], values[key])
+                changes[key] = _parse_value(hints[key], values[key])
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
     try:
@@ -333,7 +329,7 @@ def _largest_box(boxes) -> Rect | None:
     return max(boxes, key=lambda b: (b.rect.area, -b.rect.y, -b.rect.x)).rect
 
 
-def frame_box(img: Image, model_or_cascade, scan: ScanConfig,
+def frame_box(img: Image, cascade: Cascade | None, scan: ScanConfig,
               fallback: Rect | None) -> Rect | None:
     """Face box for one preprocessed frame.
 
@@ -341,8 +337,8 @@ def frame_box(img: Image, model_or_cascade, scan: ScanConfig,
     the camera); without one, the fallback (the manifest ground-truth box)
     or else the whole frame is used.
     """
-    if model_or_cascade is not None:
-        return _largest_box(detect(img, model_or_cascade, scan))
+    if cascade is not None:
+        return _largest_box(detect(img, cascade, scan))
     if fallback is not None:
         return fallback
     return Rect(0, 0, img.width, img.height)

@@ -56,9 +56,10 @@ def test_c01_roi_geometry_invariant(rng):
             face = resize_bilinear(crop(frame, box), 100, 100)
             assert (face.width, face.height) == (100, 100)
             geometry = features.DEFAULT_GEOMETRY
-            eye = resize_bilinear(crop(frame, box), 100, 100, geometry.eye)
+            eye = resize_bilinear(crop(frame, box), 100, 100,
+                                  geometry.eye_window)
             mouth = resize_bilinear(crop(frame, box), 100, 100,
-                                    geometry.mouth)
+                                    geometry.mouth_window)
             assert (eye.width, eye.height) == (80, 30)
             assert (mouth.width, mouth.height) == (40, 40)
             vec = features.frame_features(frame, box)

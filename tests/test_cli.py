@@ -405,6 +405,34 @@ class TestExitCodes:
         assert "scale_factor must be finite and at least 1.01" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "simulate"])
+    def test_frame_over_scan_cap_is_data_error(self, tmp_path, command,
+                                               capsys):
+        # step_frac 0.01 steps 1 px until the window reaches 50 px: a
+        # 600 x 600 frame needs 2,662,181 scan windows, over the cap
+        frame = tmp_path / "big.pgm"
+        frame.write_bytes(save_pnm(Image.from_array(
+            np.full((600, 600), BACKGROUND, dtype=np.uint8))))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"{frame},-1\n{frame},+1\n")
+        out = tmp_path / "never"
+        if command == "train":
+            cascade, cfg = tmp_path / "cascade.txt", tmp_path / "scan.cfg"
+            cascade.write_text(CASCADE_TEXT)
+            cfg.write_text("step_frac = 0.01\n")
+            argv = ["--out-dir", str(out), "--config", str(cfg),
+                    "--detector", str(cascade)]
+        else:
+            model = tmp_path / "model.pipe1"
+            model.write_text(PIPE_TEXT.replace("step_frac = 0.08",
+                                               "step_frac = 0.01"))
+            argv = ["--model", str(model), "--out", str(out)]
+        capsys.readouterr()
+        assert main([command, "--manifest", str(manifest)] + argv) == 2
+        assert "600x600 image needs 2662181 scan windows" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_config_key_is_data_error(self, workdir, tmp_path,
                                                capsys):
         cfg = tmp_path / "pipeline.cfg"

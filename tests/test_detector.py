@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from fatiguedet.detector import (
 )
 from fatiguedet.errors import (
     EmptyInput,
+    ImageTooLarge,
     ImageTooSmall,
     ParseError,
     VersionMismatch,
@@ -122,8 +125,7 @@ def reference_detect(img, cascade, scan):
         scale *= scan.scale_factor
     raw.sort(key=lambda r: (r.y, r.x, r.w, r.h))
     expected = []
-    for rect_group in _group_rects(raw, scan.group_iou):
-        group = rect_group.members
+    for group, _ in _group_rects(raw, scan.group_iou):
         if len(group) < scan.min_neighbors:
             continue
         x = iround(sum(r.x for r in group) / len(group))
@@ -802,6 +804,74 @@ class TestDetect:
     def test_image_too_small(self, face_cascade):
         with pytest.raises(ImageTooSmall):
             detect(gray(np.zeros((20, 20))), face_cascade)
+
+
+def reference_groups(raw, iou_threshold):
+    """_group_rects by its definition: each hit joins the first group whose
+    mean, recomputed exactly from the members before every comparison, it
+    overlaps at >= iou_threshold."""
+    def mean(members):
+        return Rect(*(math.floor(Fraction(sum(getattr(r, side)
+                                              for r in members),
+                                          len(members)) + Fraction(1, 2))
+                      for side in "xywh"))
+
+    groups = []
+    for rect in raw:
+        for members in groups:
+            if rect.iou(mean(members)) >= iou_threshold:
+                members.append(rect)
+                break
+        else:
+            groups.append([rect])
+    return [(members, mean(members)) for members in groups]
+
+
+class TestGroupRects:
+    @settings(max_examples=300)
+    @given(st.lists(st.builds(Rect, st.integers(0, 40), st.integers(0, 40),
+                              st.just(1) | st.integers(1, 30),
+                              st.just(1) | st.integers(1, 30)),
+                    max_size=40),
+           st.floats(0.01, 1.0) | st.sampled_from([0.3, 1.0]))
+    def test_matches_means_recomputed_from_members(self, raw, iou):
+        raw.sort(key=lambda r: (r.y, r.x, r.w, r.h))  # as detect sorts
+        assert _group_rects(raw, iou) == reference_groups(raw, iou)
+
+
+class TestScanCap:
+    @pytest.mark.parametrize("width, height, windows", [
+        (160, 160, 12_445), (640, 480, 211_903), (1920, 1080, 1_559_176)])
+    def test_working_sizes_fit(self, face_cascade, width, height, windows):
+        plan = detector._scan_plan(face_cascade, width, height, 1.25, 0.08)
+        assert sum(len(base) for _, base in plan) == windows
+        assert windows <= detector.MAX_SCAN_WINDOWS
+        detector._scan_plan.cache_clear()
+
+    def test_over_the_cap_is_refused_before_allocating(self, face_cascade):
+        img = Image.from_array(np.zeros((4000, 4000), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImageTooLarge, match="12486972 scan windows"):
+                detect(img, face_cascade)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the integral image alone would take 256 MB, the plan 100 MB
+        assert peak < 2 ** 20
+
+    def test_the_cap_admits_exactly_its_count(self, face_cascade,
+                                              monkeypatch):
+        img = gray(np.full((160, 160), 90))
+        for cap, admitted in ((12_445, True), (12_444, False)):
+            monkeypatch.setattr(detector, "MAX_SCAN_WINDOWS", cap)
+            detector._scan_plan.cache_clear()
+            if admitted:
+                assert detect(img, face_cascade) == []
+            else:
+                with pytest.raises(ImageTooLarge):
+                    detect(img, face_cascade)
+        detector._scan_plan.cache_clear()
 
 
 @st.composite

@@ -168,7 +168,7 @@ class TestAlertStep:
         assert events == []
 
     def test_water_spray_once(self):
-        cfg = AlertConfig(water_spray_enabled=True)
+        cfg = AlertConfig(water_spray=True)
         state, events = alert_step(IDLE, FatigueLevel.HIGH, cfg, now=1.0)
         assert [e.kind for e in events] == [
             EventKind.ALARM_ON, EventKind.REDUCE_SPEED, EventKind.WATER_SPRAY]
@@ -227,7 +227,7 @@ class TestSimulate:
         # the trace is its ticks: labels, events and the LABEL lines are
         # read from them, and a tick's events are what alert_step emitted
         cfg = AlertConfig(t_low=2, t_high=4, alarm_duration=3.0,
-                          high_persist=2.0, water_spray_enabled=True,
+                          high_persist=2.0, water_spray=True,
                           sample_period=0.3)
         trace = simulate(labels, cfg)
         assert trace.labels == [tick.label for tick in trace.ticks] == labels

@@ -34,20 +34,21 @@ class TestGeometry:
     def test_default_constants(self):
         g = DEFAULT_GEOMETRY
         assert g.face_side == 100
-        assert g.eye == Rect(10, 20, 80, 30)
-        assert g.mouth == Rect(30, 60, 40, 40)
+        assert g.eye_window == Rect(10, 20, 80, 30)
+        assert g.mouth_window == Rect(30, 60, 40, 40)
         assert g.vector_length == 4000
 
     def test_override_must_fit(self):
         with pytest.raises(ValueError):
-            RoiGeometry(eye=Rect(30, 20, 80, 30))
+            RoiGeometry(eye_window=Rect(30, 20, 80, 30))
 
 
 def rois_of_resized_face(img, box):
     """The eye and mouth windows cut from the whole face box resized to
     100 x 100: what frame_features must assemble."""
     face = resize_bilinear(crop(img, box), 100, 100)
-    return crop(face, DEFAULT_GEOMETRY.eye), crop(face, DEFAULT_GEOMETRY.mouth)
+    return (crop(face, DEFAULT_GEOMETRY.eye_window),
+            crop(face, DEFAULT_GEOMETRY.mouth_window))
 
 
 class TestNormalizeFace:
@@ -89,8 +90,8 @@ class TestExtractRois:
 
     def test_dimensions_and_vector_length(self, rng):
         face = gray(rng.integers(0, 256, size=(100, 100)))
-        eye = resize_bilinear(face, 100, 100, DEFAULT_GEOMETRY.eye)
-        mouth = resize_bilinear(face, 100, 100, DEFAULT_GEOMETRY.mouth)
+        eye = resize_bilinear(face, 100, 100, DEFAULT_GEOMETRY.eye_window)
+        mouth = resize_bilinear(face, 100, 100, DEFAULT_GEOMETRY.mouth_window)
         assert (eye.width, eye.height) == (80, 30)
         assert (mouth.width, mouth.height) == (40, 40)
         assert frame_features(face, Rect(0, 0, 100, 100)).shape == (4000,)

@@ -125,9 +125,17 @@ class TestGrayscale:
 
 
 class TestResize:
-    def test_identity(self, rng):
-        img = gray_image(rng.integers(0, 256, size=(5, 7)))
-        assert resize_bilinear(img, 7, 5) == img
+    @given(small_gray, st.data())
+    def test_identity(self, img, data):
+        # at equal sizes every pixel samples itself at weight 1, and its
+        # neighbour at weight 0
+        assert resize_bilinear(img, img.width, img.height) == img
+        x = data.draw(st.integers(0, img.width - 1))
+        y = data.draw(st.integers(0, img.height - 1))
+        region = Rect(x, y, data.draw(st.integers(1, img.width - x)),
+                      data.draw(st.integers(1, img.height - y)))
+        assert resize_bilinear(img, img.width, img.height, region) == \
+            crop(img, region)
 
     def test_downscale_2x2_to_1x1(self):
         # source coord for the single output pixel is (0.5, 0.5):
@@ -496,6 +504,11 @@ class TestEnhanceContrast:
         with pytest.raises(OutOfBounds):
             enhance_contrast(gray_image(np.zeros((10, 12))), 4, 2.0,
                              Rect(9, 0, 4, 4))
+
+    @pytest.mark.parametrize("clip", [0.5, -math.inf, math.nan])
+    def test_clip_limit_below_one_is_refused(self, clip):
+        with pytest.raises(ValueError, match="clip_limit"):
+            enhance_contrast(gray_image(np.zeros((10, 12))), 4, clip)
 
     @given(small_gray, st.integers(1, 4), st.floats(1.0, 6.0))
     def test_output_range_and_shape(self, img, tiles, clip):

@@ -502,7 +502,7 @@ class TestInferStream:
             "TICK 2 0 None Idle\n"
             "LABEL 2 skip\n")
         cfg = AlertConfig(t_low=2, t_high=3, alarm_duration=2.0,
-                          high_persist=1.0, water_spray_enabled=True,
+                          high_persist=1.0, water_spray=True,
                           sample_period=0.5)
         fatigued = infer_stream(blind, frames, cfg,
                                 no_face_policy="fatigued").render()

@@ -73,7 +73,7 @@ class TestGenerate:
         open_means, closed_means = [], []
         for rec in generate(spec):
             eye = resize_bilinear(crop(rec.image, rec.box), 100, 100,
-                                  DEFAULT_GEOMETRY.eye)
+                                  DEFAULT_GEOMETRY.eye_window)
             mean = float(eye.pixels.mean())
             if rec.mode in ("eyes_closed", "both"):
                 closed_means.append(mean)
@@ -88,7 +88,7 @@ class TestGenerate:
         yawn, closed = [], []
         for rec in generate(spec):
             mouth = resize_bilinear(crop(rec.image, rec.box), 100, 100,
-                                    DEFAULT_GEOMETRY.mouth)
+                                    DEFAULT_GEOMETRY.mouth_window)
             mean = float(mouth.pixels.mean())
             if rec.mode in ("yawn", "both"):
                 yawn.append(mean)
