@@ -14,6 +14,7 @@ false alarm beats a missed detection.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -44,8 +45,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {self.kind!r}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
 
 
 def _resolve_gamma(kernel: KernelSpec, x: np.ndarray) -> KernelSpec:
@@ -142,8 +143,8 @@ def svm_train(x: np.ndarray, y: Sequence[int], C: float = 1.0,
         raise ValueError("labels must be +1 or -1")
     if np.all(y > 0) or np.all(y < 0):
         raise SingleClass("training data contains a single class")
-    if not (C > 0 and 0 < tol < 2):
-        raise ValueError("need C > 0 and tol in (0, 2)")
+    if not (0 < C < math.inf and 0 < tol < 2):  # SVM1 holds finite floats
+        raise ValueError("need C in (0, inf) and tol in (0, 2)")
 
     n = x.shape[0]
     kernel = _resolve_gamma(kernel, x)

@@ -21,6 +21,7 @@ from .errors import ConfigError, DataError, ModelError, ParseError
 from .pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
+    configure,
     evaluate,
     fit_and_score,
     infer_stream,
@@ -54,10 +55,8 @@ def _load_config(args) -> PipelineConfig:
     cfg = PipelineConfig()
     if getattr(args, "config", None):
         cfg = parse_config(read_text(args.config, ConfigError), cfg)
-    overrides = "".join(f"{key} = {value}\n"
-                        for key, value in vars(args).items()
-                        if key in CONFIG_KEYS and value is not None)
-    cfg = parse_config(overrides, cfg)
+    cfg = configure({key: str(value) for key, value in vars(args).items()
+                     if key in CONFIG_KEYS and value is not None}, cfg)
     if cfg.cascade_path in ("off", "none"):
         cfg = replace(cfg, cascade_path=None)
     return cfg

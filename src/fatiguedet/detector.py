@@ -613,6 +613,13 @@ def _scan_plan(cascade: Cascade, width: int, height: int,
                  for scale, xs, ys in grids)
 
 
+def check_scan(cascade: Cascade, width: int, height: int,
+               scan: ScanConfig) -> None:
+    """Raise ImageTooLarge where detect would refuse a width x height
+    frame; the plan it counts is cached for detect."""
+    _scan_plan(cascade, width, height, scan.scale_factor, scan.step_frac)
+
+
 def _scaled_divisor(ii: IntegralImage, level: _ScanLevel,
                     base: np.ndarray) -> np.ndarray:
     """scale^2 * max(pixel standard deviation, 1) per window.

@@ -11,6 +11,7 @@ All operations are pure; Image values are immutable after construction.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +30,6 @@ RGB = 3
 def iround(x: float) -> int:
     """Round half up to an int (0.5 always rounds toward +inf)."""
     return int(math.floor(x + 0.5))
-
-
-def _round_half_up(a: np.ndarray) -> np.ndarray:
-    return np.floor(a + 0.5)
 
 
 @dataclass(frozen=True)
@@ -77,100 +74,82 @@ class Rect:
 
 @dataclass(frozen=True, eq=False)
 class Image:
-    """Immutable 8-bit image. pixels is (h, w) for gray, (h, w, 3) for RGB."""
+    """Immutable 8-bit image: pixels is (h, w) for gray, (h, w, 3) for RGB,
+    and its shape is the image's height, width and channel count."""
 
-    width: int
-    height: int
-    channels: int
-    pixels: np.ndarray = field(repr=False)
+    pixels: np.ndarray
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
-        if self.channels not in (GRAY, RGB):
-            raise ValueError(f"channels must be 1 or 3, got {self.channels}")
-        expect = (self.height, self.width) if self.channels == GRAY else (
-            self.height, self.width, 3)
-        if self.pixels.shape != expect or self.pixels.dtype != np.uint8:
-            raise ValueError(
-                f"pixel array mismatch: shape {self.pixels.shape} "
-                f"dtype {self.pixels.dtype}, expected {expect} uint8")
-        self.pixels.setflags(write=False)
+        p = self.pixels
+        if p.dtype != np.uint8 or p.shape[2:] not in ((), (3,)) \
+                or p.ndim < 2 or 0 in p.shape:
+            raise ValueError(f"expected a uint8 (h, w) or (h, w, 3) array "
+                             f"with no empty side, got {p.dtype} {p.shape}")
+        p.setflags(write=False)
+
+    def __repr__(self) -> str:
+        return f"Image({self.width}x{self.height}x{self.channels})"
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def channels(self) -> int:
+        return GRAY if self.pixels.ndim == 2 else RGB
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Image):
             return NotImplemented
-        return (self.width == other.width and self.height == other.height
-                and self.channels == other.channels
-                and np.array_equal(self.pixels, other.pixels))
-
-    def as_float(self) -> np.ndarray:
-        return self.pixels.astype(np.float64)
+        return np.array_equal(self.pixels, other.pixels)
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "Image":
-        """Wrap an integer-valued array already in [0, 255]."""
+        """Wrap a copy of an integer-valued array already in [0, 255]."""
         a = np.asarray(arr)
-        if a.ndim == 2:
-            channels = GRAY
-        elif a.ndim == 3 and a.shape[2] == 3:
-            channels = RGB
-        else:
-            raise ValueError(f"unsupported array shape {a.shape}")
-        if a.dtype != np.uint8:
-            if a.size and (a.min() < 0 or a.max() > 255):
-                raise ValueError("pixel values outside [0, 255]")
-            a = a.astype(np.uint8)
-        else:
-            a = a.copy()
-        return Image(a.shape[1], a.shape[0], channels, a)
+        if a.dtype != np.uint8 and a.size and (a.min() < 0 or a.max() > 255):
+            raise ValueError("pixel values outside [0, 255]")
+        return Image(a.astype(np.uint8))  # astype copies
 
     @staticmethod
     def from_float(arr: np.ndarray) -> "Image":
         """Round half up and clamp a float array into an 8-bit image."""
-        a = np.clip(_round_half_up(np.asarray(arr, dtype=np.float64)), 0, 255)
-        return Image.from_array(a.astype(np.uint8))
+        a = np.floor(np.asarray(arr, dtype=np.float64) + 0.5)
+        return Image(np.clip(a, 0, 255).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
 # PNM codec (binary P5/P6, maxval 255)
 
-def _parse_pnm_header(data: bytes) -> tuple[bytes, list[int], int]:
-    """Return (magic, [w, h, maxval], raster_offset).
+# One header token with the separators before it. A separator is a
+# whitespace byte or a comment, which runs from '#' up to the end of its
+# line; the token (group 1) is every byte up to the next separator, and is
+# empty only at the end of the data.
+_PNM_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]|#[^\n]*)*"
+                        rb"([^ \t\r\n\x0b\x0c#]*)")
 
-    Tokens are whitespace separated; '#' starts a comment running to end of
-    line; the raster begins after exactly one whitespace byte following the
-    maxval token.
-    """
-    n = len(data)
-    if n < 2 or data[0:1] != b"P" or data[1:2] not in (b"5", b"6"):
+
+def _parse_pnm_header(data: bytes) -> tuple[bytes, list[int], int]:
+    """Return (magic, [w, h, maxval], raster_offset): the raster begins
+    after exactly one whitespace byte following the maxval token."""
+    if data[:2] not in (b"P5", b"P6"):
         raise MalformedHeader("not a binary PGM/PPM (expected P5 or P6 magic)")
-    magic = data[0:2]
-    pos = 2
-    values: list[int] = []
-    while len(values) < 3:
-        # skip whitespace and comments
-        while pos < n:
-            c = data[pos:pos + 1]
-            if c in b" \t\r\n\x0b\x0c":
-                pos += 1
-            elif c == b"#":
-                while pos < n and data[pos:pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < n and data[pos:pos + 1] not in b" \t\r\n\x0b\x0c#":
-            pos += 1
-        tok = data[start:pos]
+    pos, values = 2, []
+    for _ in range(3):
+        match = _PNM_TOKEN.match(data, pos)
+        tok, pos = match[1], match.end()
         if not tok:
             raise MalformedHeader("truncated header")
         if not tok.isdigit():  # ASCII digits only: int() also takes b"1_0"
             raise MalformedHeader(f"non-numeric header token {tok!r}")
         values.append(int(tok))
-    if pos >= n or data[pos:pos + 1] not in b" \t\r\n\x0b\x0c":
+    if not data[pos:pos + 1].isspace():
         raise MalformedHeader("missing whitespace before raster")
-    return magic, values, pos + 1
+    return data[:2], values, pos + 1
 
 
 def load_pnm(data: bytes) -> Image:
@@ -180,15 +159,13 @@ def load_pnm(data: bytes) -> Image:
         raise MalformedHeader(f"bad dimensions {w}x{h}")
     if maxval != 255:
         raise UnsupportedMaxval(f"maxval must be 255, got {maxval}")
-    channels = GRAY if magic == b"P5" else RGB
-    need = w * h * channels
+    shape = (h, w) if magic == b"P5" else (h, w, 3)
+    need = math.prod(shape)
     raster = data[offset:offset + need]
     if len(raster) < need:
         raise TruncatedRaster(
             f"raster has {len(raster)} bytes, expected {need}")
-    arr = np.frombuffer(raster, dtype=np.uint8, count=need)
-    shape = (h, w) if channels == GRAY else (h, w, 3)
-    return Image(w, h, channels, arr.reshape(shape).copy())
+    return Image(np.frombuffer(raster, dtype=np.uint8).reshape(shape).copy())
 
 
 def save_pnm(img: Image) -> bytes:
@@ -209,8 +186,17 @@ def to_grayscale(img: Image) -> Image:
     """Collapse RGB to gray with Rec.601 weights; gray input passes through."""
     if img.channels == GRAY:
         return img
-    g = img.as_float() @ _LUMA
-    return Image.from_float(g)
+    return Image.from_float(img.pixels.astype(np.float64) @ _LUMA)
+
+
+def _inside(rect: Rect | None, width: int, height: int) -> Rect:
+    """rect, or the whole width x height area when it is None; a rect that
+    reaches outside that area raises OutOfBounds."""
+    if rect is None:
+        return Rect(0, 0, width, height)
+    if not rect.inside(width, height):
+        raise OutOfBounds(f"{rect} outside {width}x{height} image")
+    return rect
 
 
 def _resize_axis(dst_size: int, src_size: int, start: int, stop: int):
@@ -247,9 +233,7 @@ def resize_bilinear(img: Image, new_w: int, new_h: int,
         raise ValueError("resize_bilinear expects a grayscale image")
     if new_w <= 0 or new_h <= 0:
         raise ValueError("target dimensions must be positive")
-    if region is None:
-        region = Rect(0, 0, new_w, new_h)
-    _check_inside(region, new_w, new_h)
+    region = _inside(region, new_w, new_h)
     x0, x1, fx = _resize_axis(new_w, img.width, region.x, region.x2)
     y0, y1, fy = _resize_axis(new_h, img.height, region.y, region.y2)
     src = img.pixels
@@ -259,16 +243,11 @@ def resize_bilinear(img: Image, new_w: int, new_h: int,
     return Image.from_float(top * (1 - fy) + bot * fy)
 
 
-def _check_inside(rect: Rect, width: int, height: int) -> None:
-    if not rect.inside(width, height):
-        raise OutOfBounds(f"{rect} outside {width}x{height} image")
-
-
 def crop(img: Image, rect: Rect) -> Image:
     """Copy the pixels of rect out of a grayscale image."""
     if img.channels != GRAY:
         raise ValueError("crop expects a grayscale image")
-    _check_inside(rect, img.width, img.height)
+    _inside(rect, img.width, img.height)
     return Image.from_array(img.pixels[rect.y:rect.y2, rect.x:rect.x2])
 
 
@@ -276,10 +255,10 @@ def paste(img: Image, rect: Rect, width: int, height: int) -> Image:
     """A width x height grayscale image that holds img's pixels at rect,
     which has img's size, and zero elsewhere: crop(paste(img, rect, ...),
     rect) == img."""
-    _check_inside(rect, width, height)
+    _inside(rect, width, height)
     pixels = np.zeros((height, width), dtype=np.uint8)
     pixels[rect.y:rect.y2, rect.x:rect.x2] = img.pixels
-    return Image(width, height, GRAY, pixels)
+    return Image(pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +302,7 @@ def integral_image(img: Image) -> IntegralImage:
 
 def rect_sum(ii: IntegralImage, rect: Rect) -> int:
     """Exact pixel sum over rect in O(1)."""
-    _check_inside(rect, ii.width, ii.height)
+    _inside(rect, ii.width, ii.height)
     s = ii.sums
     return int(s[rect.y2, rect.x2] - s[rect.y, rect.x2]
                - s[rect.y2, rect.x] + s[rect.y, rect.x])
@@ -350,9 +329,7 @@ def denoise(img: Image, spatial_sigma: float = 1.5,
         raise ValueError("denoise expects a grayscale image")
     if spatial_sigma <= 0 or range_sigma <= 0:
         raise ValueError("sigmas must be positive")
-    if region is None:
-        region = Rect(0, 0, img.width, img.height)
-    _check_inside(region, img.width, img.height)
+    region = _inside(region, img.width, img.height)
     # the edge padding is the border clamp
     levels = np.pad(img.pixels, 2, mode="edge")[
         region.y:region.y2 + 4, region.x:region.x2 + 4].astype(np.int16)
@@ -424,9 +401,7 @@ def enhance_contrast(img: Image, tiles: int = 8, clip_limit: float = 2.0,
         raise ValueError("tiles must be >= 1")
     if not clip_limit >= 1.0:
         raise ValueError("clip_limit must be >= 1.0")
-    if region is None:
-        region = Rect(0, 0, img.width, img.height)
-    _check_inside(region, img.width, img.height)
+    region = _inside(region, img.width, img.height)
     cols, j0, j1, fx = _axis_tiles(img.width, tiles, region.x, region.x2)
     rows, i0, i1, fy = _axis_tiles(img.height, tiles, region.y, region.y2)
     # the block of tiles region reads: tile rows ta..tb-1, columns sa..sb-1
@@ -505,9 +480,7 @@ def preprocess(img: Image, config: PreprocessConfig = DEFAULT_PREPROCESS,
     enhance_contrast reads to produce the region.
     """
     gray = to_grayscale(img)
-    if region is None:
-        region = Rect(0, 0, gray.width, gray.height)
-    _check_inside(region, gray.width, gray.height)
+    region = _inside(region, gray.width, gray.height)
     enhance = config.low_light == "on" or (
         config.low_light == "auto"
         and float(gray.pixels.mean()) < config.low_light_threshold)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import os
 from dataclasses import dataclass, replace
 from functools import cache
@@ -25,7 +26,8 @@ import numpy as np
 
 from . import classifier, fatigue, features
 from .classifier import KernelSpec, SvmModel
-from .detector import Cascade, ScanConfig, detect, load_cascade, save_cascade
+from .detector import Cascade, ScanConfig, check_scan, detect, \
+    load_cascade, save_cascade
 from .errors import (
     BadLabel,
     ConfigError,
@@ -155,13 +157,15 @@ class PipelineConfig:
         if self.no_face_policy not in ("skip", "fatigued"):
             raise ValueError(f"no_face_policy: expected skip or fatigued, "
                              f"got {self.no_face_policy!r}")
-        self.kernel()  # rejects an unknown kernel or gamma <= 0
-        if not self.svm_c > 0:
-            raise ValueError("svm_c must be positive")
+        self.kernel()  # rejects an unknown kernel or a gamma outside (0, inf)
+        if not 0 < self.svm_c < math.inf:  # SVM1 holds finite floats
+            raise ValueError("svm_c must be positive and finite")
         if not 0 < self.svm_tol < 2:
             raise ValueError("svm_tol must be in (0, 2)")
         if self.svm_max_passes < 1:
             raise ValueError("svm_max_passes must be >= 1")
+        if self.pca_k is not None and self.pca_k < 1:
+            raise ValueError("pca_k must be >= 1")
         if self.pca_variance is not None and not 0 < self.pca_variance <= 1:
             raise ValueError("pca_variance must be in (0, 1]")
 
@@ -290,8 +294,14 @@ def _key_values(lines: Sequence[str]) -> dict[str, str]:
 def parse_config(text: str, base: PipelineConfig | None = None,
                  ) -> PipelineConfig:
     """Parse key = value lines ('#' comments allowed) over base defaults."""
+    return configure(_key_values(text.splitlines()), base)
+
+
+def configure(values: dict[str, str], base: PipelineConfig | None = None,
+              ) -> PipelineConfig:
+    """base (else the defaults) with each config key of values parsed, as
+    a whole string, into its field."""
     cfg = base if base is not None else PipelineConfig()
-    values = _key_values(text.splitlines())
     unknown = values.keys() - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -361,6 +371,8 @@ def frame_vectors(frames: Iterable[Image],
         if cascade is None:
             region = features.roi_block(
                 whole if fallback is None else fallback, geometry)
+        else:  # an over-cap frame is refused before it is preprocessed
+            check_scan(cascade, frame.width, frame.height, scan)
         img = paste(preprocess(frame, prep, region), region, frame.width,
                     frame.height)
         box = frame_box(img, cascade, scan, fallback)
@@ -417,7 +429,7 @@ def fit_and_score(records: Sequence[ManifestRecord],
     if np.all(y == 1) or np.all(y == -1):
         raise SingleClass("training data contains a single class")
     pca = features.pca_fit(x, k=config.pca_k,
-                           variance=None if config.pca_k else
+                           variance=None if config.pca_k is not None else
                            config.pca_variance)
     z = features.pca_project_many(pca, x)
     svm = classifier.svm_train(z, y, C=config.svm_c, kernel=config.kernel(),

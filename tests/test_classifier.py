@@ -279,6 +279,21 @@ class TestTrainValidation:
         with pytest.raises(ValueError, match="tol in \\(0, 2\\)"):
             svm_train(x, y, tol=tol)
 
+    @pytest.mark.parametrize("C", [0.0, -1.0, np.inf, np.nan])
+    def test_c_outside_open_interval_0_inf(self, rng, C):
+        # SVM1 holds finite floats: a model trained at C = inf would save
+        # a file that load_svm refuses
+        x, y = separable_set(rng, n=14, k=3)
+        with pytest.raises(ValueError, match="C in \\(0, inf\\)"):
+            svm_train(x, y, C=C)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
+    def test_gamma_outside_open_interval_0_inf(self, gamma):
+        # a NaN or infinite gamma made every kernel value NaN or 0, and SMO
+        # failed its feasibility assert
+        with pytest.raises(ValueError, match="positive and finite"):
+            KernelSpec("rbf", gamma)
+
     @pytest.mark.parametrize("kernel", [LINEAR, KernelSpec()],
                              ids=["linear", "rbf"])
     @pytest.mark.parametrize("C", [1e-9, 1e-300])

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatiguedet import fatigue
@@ -268,6 +268,94 @@ class TestExitCodes:
         assert main(argv[:1] + ["--manifest", manifest] + extra
                     + argv[1:]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--svm-gamma", "nan", "gamma must be positive and finite"),
+        ("--svm-gamma", "inf", "gamma must be positive and finite"),
+        ("--svm-c", "inf", "svm_c must be positive and finite"),
+        ("--svm-c", "1e999", "svm_c must be positive and finite"),
+        ("--pca-k", "0", "pca_k must be >= 1")])
+    def test_setting_outside_its_range_is_data_error(
+            self, workdir, tmp_path, monkeypatch, flag, value, message,
+            capsys):
+        # refused as the config is built, before a frame is read: a NaN or
+        # infinite gamma failed SMO's feasibility assert, and an infinite C
+        # saved an SVM1 that load_svm refuses
+        def no_frame(record):
+            raise AssertionError("a frame was read")
+
+        monkeypatch.setattr(ManifestRecord, "load_image", no_frame)
+        out = tmp_path / "never"
+        assert main(["train", "--manifest",
+                     str(workdir / "data" / "manifest.csv"), "--out-dir",
+                     str(out), flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("no_face_policy = sometimes", "expected skip or fatigued"),
+        ("svm_max_passes = 0", "svm_max_passes must be >= 1"),
+        ("water_spray = maybe", "expected on/off"),
+        ("eye_window = 10 20 80", "expected 'x y w h'"),
+        ("svm_gamma = nan", "gamma must be positive and finite")],
+        ids=["no-face-policy", "svm-max-passes", "bool", "rect",
+             "svm-gamma-nan"])
+    def test_refused_config_line_is_data_error(self, workdir, tmp_path,
+                                               line, message, capsys):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["train", "--manifest",
+                     str(workdir / "data" / "manifest.csv"), "--out-dir",
+                     str(tmp_path / "never"), "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_flag_value_is_taken_whole(self, workdir, face_cascade, tmp_path,
+                                       capsys):
+        # a config file's value ends at '#' and its line at a newline; a
+        # flag's value is a value, not config text
+        manifest = str(workdir / "data" / "manifest.csv")
+        cascade = tmp_path / "c#1.txt"
+        cascade.write_text(save_cascade(face_cascade))
+        out = tmp_path / "models"
+        assert main(["train", "--manifest", manifest, "--out-dir", str(out),
+                     "--detector", str(cascade)]) == 0
+        model = load_pipeline((out / "model.pipe1").read_text())
+        assert save_cascade(model.cascade) == save_cascade(face_cascade)
+        capsys.readouterr()
+        value = "off\npca_k = 3"
+        assert main(["train", "--manifest", manifest, "--out-dir",
+                     str(tmp_path / "never"), "--detector", value]) == 3
+        assert f"cannot read {value}" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("header, message", [
+        (b"P5 4 4", "truncated header"), (b"P5 4 4 # 255\n", "truncated"),
+        (b"P5 4 4 255", "missing whitespace before raster")])
+    def test_malformed_frame_header_is_data_error(self, tmp_path, header,
+                                                  message, capsys):
+        frame = tmp_path / "bad.pgm"
+        frame.write_bytes(header)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"{frame},-1\n{frame},+1\n")
+        out = tmp_path / "never"
+        assert main(["train", "--manifest", str(manifest), "--out-dir",
+                     str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pca_off_the_roi_layout_is_model_error(self, workdir, tmp_path,
+                                                   capsys):
+        # PIPE_TEXT's PCA takes 3 values: an eye window of 2 and a mouth
+        # window of 1 pixel; a 2-pixel mouth window makes the layout 4
+        model = tmp_path / "model.pipe1"
+        model.write_text(PIPE_TEXT.replace("mouth_window = 0 2 1 1",
+                                           "mouth_window = 0 2 2 1"))
+        assert main(["eval", "--manifest",
+                     str(workdir / "data" / "manifest.csv"), "--model",
+                     str(model)]) == 3
+        assert "PCA dimension 3 does not match the 4-entry ROI layout" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "detect-train"])
     def test_negative_seed_is_usage_error(self, small, command, capsys):
@@ -645,9 +733,8 @@ ARG_TEXT = (NUMBER_TEXT | st.text(max_size=8) | st.integers(0, 12).map(str)
                                "off", "linear", "rbf", "fatigued", "a\0"])
             ).filter(lambda token: not _sets_output(token))
 
-# Each command's flags that the fuzz may add (and an unknown one), and
-# those that read a file it writes mutated; the output flags are always the
-# test's own
+# Each command's flags that the fuzz may add, and those that read a file it
+# writes mutated; the output flags are always the test's own
 FLAGS = {
     "train": ["--manifest", "--config", "--detector", "--pca-k",
               "--pca-variance", "--svm-c", "--svm-kernel", "--svm-gamma",
@@ -661,18 +748,55 @@ FLAGS = {
 FILE_FLAGS = {"train": ["--config", "--detector"], "eval": ["--model"],
               "simulate": ["--model", "--config"], "default-config": []}
 
+# Values by flag kind, so that more runs get past argparse: numbers at and
+# past the edges of every setting's range, names holding a '#' or a newline
+# (which a config file would cut), choices and a wrong one, and no value
+# for a switch
+EDGE_NUMBERS = st.sampled_from(["0", "-1", "nan", "inf", "1e999", "1e-320",
+                                "\u0663", "\uff13", "1", "3", "0.5", "50"])
+NAMES = st.sampled_from(["c#1.txt", "a\nb", "off\npca_k = 3", "off", ""])
+NAME_SUFFIXES = st.sampled_from(["", "#1.txt", "\n1", " # x"])
+CHOICES = st.sampled_from(["linear", "rbf", "skip", "fatigued", "cubic"])
+PATHS = ("--manifest", "--config", "--detector", "--model")
+
+
+def _values(flag: str):
+    """The argv tokens that follow flag."""
+    if flag == "--water-spray":
+        return st.just([])
+    kind = CHOICES if flag in ("--svm-kernel", "--no-face-policy") else \
+        NAMES if flag in PATHS else EDGE_NUMBERS | NUMBER_TEXT
+    return kind.map(lambda token: [token])
+
+
+@st.composite
+def cli_flags(draw):
+    """A command, then up to three of its flags with values drawn by kind,
+    and at times a stray token or an unknown flag."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    tokens = []
+    flags = FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3)) \
+            if flags else ():
+        tokens += [flag] + draw(_values(flag))
+    if draw(st.integers(0, 9)) == 0:
+        tokens.append(draw(ARG_TEXT | st.just("--bogus")))
+    return command, tokens
+
 
 class TestWholeCli:
     """cli.main returns an exit code from 0 to 3 whatever its argv tokens
-    and whatever the bytes of the model, cascade and config files."""
+    and whatever the bytes and names of the model, cascade and config
+    files."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
+    @example(case=("train", ["--svm-gamma", "nan"]), data=None)
+    @given(case=cli_flags(), data=st.data())
     def test_any_argv_and_file_bytes(self, small, face_cascade,
-                                     tmp_path_factory, data):
+                                     tmp_path_factory, case, data):
         out = tmp_path_factory.mktemp("fuzz")
         manifest = str(small / "data" / "manifest.csv")
-        command = data.draw(st.sampled_from(sorted(FLAGS)))
+        command, tokens = case
         argv = [command] + {
             "train": ["--manifest", manifest, "--out-dir", str(out / "m")],
             "eval": ["--manifest", manifest, "--model",
@@ -681,22 +805,17 @@ class TestWholeCli:
             "simulate": ["--manifest", manifest, "--model",
                          str(small / "models" / "model.pipe1"),
                          "--out", str(out / "trace.txt")],
-            "default-config": []}[command]
-        pairs = data.draw(st.lists(st.tuples(
-            st.sampled_from(FLAGS[command] + ["--bogus"]), ARG_TEXT),
-            max_size=3))
-        argv += [token for pair in pairs for token in pair]
-        if data.draw(st.integers(0, 4)) == 0:
-            argv.append(data.draw(ARG_TEXT))  # a stray token
+            "default-config": []}[command] + tokens
         bases = {"--model": [(small / "models" / "model.pipe1").read_text(),
                              PIPE_TEXT],
                  "--detector": [save_cascade(face_cascade), CASCADE_TEXT],
                  "--config": [render_config(PipelineConfig())]}
-        for flag in FILE_FLAGS[command]:
+        # an explicit example (data None) writes no file
+        for flag in FILE_FLAGS[command] if data is not None else ():
             if data.draw(st.booleans()):
                 text, _ = data.draw(mutations(data.draw(st.sampled_from(
                     bases[flag]))))
-                path = out / flag.strip("-")
+                path = out / (flag.strip("-") + data.draw(NAME_SUFFIXES))
                 path.write_text(text)
                 argv += [flag, str(path)]
         assert main(argv) in (0, 1, 2, 3)

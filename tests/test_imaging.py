@@ -44,6 +44,42 @@ small_gray = st.integers(1, 12).flatmap(
 )
 
 
+class TestImage:
+    @pytest.mark.parametrize("shape, channels", [((3, 5), 1),
+                                                 ((3, 5, 3), 3)])
+    def test_sizes_are_read_from_the_array(self, shape, channels):
+        img = Image.from_array(np.zeros(shape, dtype=np.uint8))
+        assert (img.width, img.height, img.channels) == (5, 3, channels)
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((3, 5), np.int16), ((3, 5), np.float64), ((5,), np.uint8),
+        ((3, 5, 1), np.uint8), ((3, 5, 4), np.uint8), ((0, 5), np.uint8),
+        ((3, 0, 3), np.uint8), ((2, 3, 5, 3), np.uint8)])
+    def test_constructor_takes_only_8_bit_gray_or_rgb(self, shape, dtype):
+        with pytest.raises(ValueError):
+            Image(np.zeros(shape, dtype=dtype))
+
+    def test_from_array_copies_and_freezes(self):
+        src = np.arange(6, dtype=np.int64).reshape(2, 3)
+        img = Image.from_array(src)
+        src[0, 0] = 99
+        assert img.pixels.dtype == np.uint8 and img.pixels[0, 0] == 0
+        with pytest.raises(ValueError):
+            img.pixels[0, 0] = 1
+
+    @pytest.mark.parametrize("value", [-1, 256])
+    def test_from_array_refuses_values_outside_a_byte(self, value):
+        with pytest.raises(ValueError, match="outside"):
+            Image.from_array(np.array([[0, value]]))
+
+
+# PNM header separators: whitespace bytes, and comments that run to the end
+# of their line
+PNM_SEPARATORS = st.lists(st.sampled_from(
+    [b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"# c\n", b"#\n",
+     b"##5 6\r\n", b"#\xff\x00\n"]), min_size=1, max_size=4).map(b"".join)
+
+
 class TestPnmCodec:
     def test_pgm_basic(self):
         img = load_pnm(b"P5 2 1 255 " + bytes([0, 255]))
@@ -83,6 +119,38 @@ class TestPnmCodec:
     def test_header_number_outside_ascii_digits(self, header):
         with pytest.raises(MalformedHeader, match="non-numeric"):
             load_pnm(header + bytes(10))
+
+    @given(st.sampled_from([b"P5", b"P6"]), st.integers(1, 6),
+           st.integers(1, 6), st.integers(0, 2),
+           st.lists(PNM_SEPARATORS, min_size=3, max_size=3),
+           st.sampled_from(b" \t\r\n\x0b\x0c"),
+           st.sampled_from(["whole", "truncated", "no-raster-byte",
+                            "non-numeric"]), st.binary(min_size=108,
+                                                       max_size=108))
+    def test_header_tokens_and_separators(self, magic, w, h, zeros, seps,
+                                          last, cut, raster):
+        # a token is ASCII digits (leading zeros allowed); exactly one
+        # whitespace byte separates maxval from the raster, which may
+        # itself start with whitespace or '#'
+        tokens = [b"0" * zeros + b"%d" % v for v in (w, h, 255)]
+        if cut == "non-numeric":
+            tokens[zeros % 3] += "\u0661".encode()
+        header = b"".join(s + t for s, t in zip(seps, tokens))
+        if cut == "truncated":
+            header = header[:header.rindex(tokens[2])]
+        data = magic + header + (bytes([last]) + raster if cut in (
+            "whole", "non-numeric") else b"")
+        if cut != "whole":
+            message = {"truncated": "truncated header",
+                       "no-raster-byte": "missing whitespace before raster",
+                       "non-numeric": "non-numeric header token"}[cut]
+            with pytest.raises(MalformedHeader, match=message):
+                load_pnm(data)
+            return
+        img = load_pnm(data)
+        shape = (h, w) if magic == b"P5" else (h, w, 3)
+        assert img.pixels.shape == shape
+        assert img.pixels.tobytes() == raster[:math.prod(shape)]
 
     def test_save_single_pixel_layout(self):
         # forced by the format: header then raw raster byte

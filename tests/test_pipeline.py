@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fatiguedet import fatigue
+from fatiguedet import detector, fatigue, pipeline
 from fatiguedet.classifier import group_folds
 from fatiguedet.detector import (
     Cascade,
@@ -20,6 +20,7 @@ from fatiguedet.errors import (
     ConfigError,
     EmptyManifest,
     FatigueDetError,
+    ImageTooLarge,
     ManifestError,
     MissingFile,
     ModelMismatch,
@@ -43,6 +44,7 @@ from fatiguedet.pipeline import (
     PipelineConfig,
     PipelineModel,
     StreamTrace,
+    configure,
     evaluate,
     extract_features,
     fit_pipeline,
@@ -337,10 +339,20 @@ class TestConfig:
         "low_light_threshold = nan", "denoise_spatial_sigma = 0",
         "denoise_range_sigma = nan", "denoise_range_sigma = inf",
         "clahe_tiles = 0", "clahe_clip_limit = 0.5",
-        "clahe_clip_limit = nan"])
+        "clahe_clip_limit = nan", "svm_c = inf", "svm_c = 1e999",
+        "svm_gamma = nan", "svm_gamma = inf", "pca_k = 0", "pca_k = -1"])
     def test_bad_value_is_config_error(self, line):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
+
+    @pytest.mark.parametrize("value", ["c#1.txt", "off\npca_k = 3",
+                                       " spaced "])
+    def test_configure_takes_each_value_whole(self, value):
+        # only a config file's text is cut at '#' and split into lines
+        cfg = configure({"cascade_path": value})
+        assert cfg.cascade_path == value and cfg.pca_k is None
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            configure({"pca_k = 3\nseed": "1"})
 
     @pytest.mark.parametrize("line", [
         "pca_k = \u0661\u0660", "pca_k = 1_0", "pca_k = \uff11\uff10",
@@ -428,6 +440,25 @@ class TestFitPipeline:
             box = box or Rect(0, 0, whole.width, whole.height)
             assert np.array_equal(vec, frame_features(whole, box,
                                                       CFG.geometry))
+
+    def test_over_cap_frame_is_refused_before_preprocessing(
+            self, face_cascade, monkeypatch):
+        # a 160 x 160 frame needs 12,445 windows; the cap is one fewer
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return preprocess(*args)
+
+        monkeypatch.setattr(pipeline, "preprocess", spy)
+        monkeypatch.setattr(detector, "MAX_SCAN_WINDOWS", 12_444)
+        detector._scan_plan.cache_clear()
+        frame = Image.from_array(np.full((160, 160), 90, dtype=np.uint8))
+        with pytest.raises(ImageTooLarge, match="12445 scan windows"):
+            next(frame_vectors([frame], None, CFG.geometry, CFG.preprocess,
+                               face_cascade, CFG.scan))
+        assert calls == []
+        detector._scan_plan.cache_clear()
 
     def test_4000_columns_regardless_of_frame_size(self, tmp_path):
         spec = SyntheticSpec(frame_w=220, frame_h=140, n_frames=4, seed=2)
