@@ -31,7 +31,10 @@ the number of threads. The script therefore pins BLAS and OpenMP to one
 thread before numpy is imported, as the benchmark does, so its digests do
 not depend on the machine's core count or the caller's environment.
 
-    PYTHONPATH=src python3 scripts/model_digests.py
+The script imports fatiguedet from its own checkout's `src/` and stops if
+the package resolves anywhere else, so it needs no PYTHONPATH:
+
+    python3 scripts/model_digests.py
 """
 
 import contextlib
@@ -45,6 +48,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402  (imported after the thread pin)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+import fatiguedet  # noqa: E402
+
+if Path(fatiguedet.__file__).resolve().parent != SRC / "fatiguedet":
+    raise SystemExit(f"fatiguedet imported from {fatiguedet.__file__}, "
+                     f"not from {SRC}")
 
 from fatiguedet.cli import main as cli_main  # noqa: E402
 from fatiguedet.detector import (  # noqa: E402

@@ -8,12 +8,15 @@ One table of flat corner offsets (`y * stride + x`) per feature set, scale
 and integral-image row stride serves the scan and training alike, and one
 scorer turns the corner reads into feature values. `detect` compiles the
 cascade once per scale and frame stride and reads all corners of a stage
-with one `take` per window origin. Training takes its windows as an
-(n, h, w) uint8 stack, sums the whole stack with the window on the last
-axis and reads a row of windows per offset. The corner reads
-index the integral image without bounds checks, so they need every window
-inside the image (`detect` only scans such windows) and every feature rect
-inside the base window (`load_cascade` rejects any other).
+with one `take` per window origin, a bounded slice of origins at a time.
+Training takes its windows as an (n, h, w) uint8 stack, sums the whole
+stack with the window on the last axis and reads a row of windows per
+offset. A stage scores and presorts its feature pool one block of
+features at a time and keeps no value matrix: boosting runs from the
+presorted order, and only the features it picks are scored again. The
+corner reads index the integral image without bounds checks, so they need
+every window inside the image (`detect` only scans such windows) and every
+feature rect inside the base window (`load_cascade` rejects any other).
 """
 
 from __future__ import annotations
@@ -282,34 +285,44 @@ class BoostResult:
 
 
 _EPS_CLAMP = 1e-10
-_CHUNK = 64  # features per block in boost and feature_value_matrix
+_CHUNK = 64  # features per scored, presorted and searched block
 
 
 def _presort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable ascending order of each feature column of values (n
-    samples x F features), one int32 row per feature, and the (F, n + 1)
-    mask of split positions that fall between equal values and so are not
-    threshold candidates.
-
-    Each block of rows is sorted once with numpy's default sort, which
-    need not keep ties in index order, and then sorted again by
-    run * n + index, where run counts the value changes before a position
-    (NaNs, sorted last, count as one value). That keeps each run of equal
-    values where it is and puts it in index order: the stable order,
-    whatever the first sort did with ties.
-    """
+    """_presort_rows of the feature columns of values (n samples x F
+    features), one block of columns at a time."""
     n, nf = values.shape
     rows = values.T
-    order = np.empty((nf, n), dtype=np.int32)
+    return _presort_rows((rows[lo:lo + _CHUNK] for lo in range(0, nf, _CHUNK)),
+                         n, nf)
+
+
+def _presort_rows(blocks, n: int, nf: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable ascending order of each of nf rows of n values, given as
+    blocks of rows, one row per feature (int16 when n <= 32,768, else
+    int32), and the (nf, n + 1) mask of split positions that fall between
+    equal values and so are not threshold candidates. A block may be
+    dropped once it is sorted.
+
+    Each block is sorted once with numpy's default sort, which need not
+    keep ties in index order, and then sorted again by run * n + index,
+    where run counts the value changes before a position (NaNs, sorted
+    last, count as one value). That keeps each run of equal values where
+    it is and puts it in index order: the stable order, whatever the first
+    sort did with ties.
+    """
+    index_type = np.int16 if n <= 1 << 15 else np.int32
+    order = np.empty((nf, n), dtype=index_type)
     tied = np.zeros((nf, n + 1), dtype=bool)
     # keys reach n * n - 1; int32 keys sort about 4x faster than int64
     key_type = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    for lo in range(0, nf, _CHUNK):
-        block = rows[lo:lo + _CHUNK]
+    lo = 0
+    for block in blocks:
+        hi = lo + len(block)
         first = np.argsort(block, axis=1)
         v = np.take_along_axis(block, first, axis=1)
         same = v[:, 1:] <= v[:, :-1]
-        tied[lo:lo + _CHUNK, 1:n] = same
+        tied[lo:hi, 1:n] = same
         if np.isnan(v[:, -1]).any():
             same |= np.isnan(v[:, 1:]) & np.isnan(v[:, :-1])
         run = np.zeros(block.shape, dtype=key_type)
@@ -319,7 +332,8 @@ def _presort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key += run
         key.sort(axis=1)
         key -= run
-        order[lo:lo + _CHUNK] = key
+        order[lo:hi] = key
+        lo = hi
     return order, tied
 
 
@@ -410,15 +424,39 @@ def train_weak(values: np.ndarray, labels: np.ndarray,
     return _best_stump(values, order[0], tied[0], labels, weights)
 
 
+def _boost_rounds(order: np.ndarray, tied: np.ndarray, labels: np.ndarray,
+                 rounds: int, row) -> tuple[BoostResult, np.ndarray]:
+    """Discrete AdaBoost over presorted features: weights start uniform and
+    are renormalized each round; correctly classified samples are scaled by
+    beta = eps / (1 - eps) with eps clamped away from 0 and 1. row(f) gives
+    feature f's values, read only for the feature a round picks. Returns
+    the result and the picked values, one column per round."""
+    n = order.shape[1]
+    w = np.full(n, 1.0 / n)
+    picked: list[BoostRound] = []
+    columns = []
+    for _ in range(rounds):
+        w = w / w.sum()
+        f = int(np.argmin(_best_feature_errors(order, tied, labels, w)))
+        values = row(f)
+        fit = _best_stump(values, order[f], tied[f], labels, w)
+        eps = min(max(fit.error, _EPS_CLAMP), 1.0 - _EPS_CLAMP)
+        beta = eps / (1.0 - eps)
+        alpha = math.log(1.0 / beta)
+        h = stump_predict(values, fit.threshold, fit.polarity)
+        w = np.where(h == labels, w * beta, w)
+        picked.append(BoostRound(f, fit.threshold, fit.polarity, alpha,
+                                 fit.error))
+        columns.append(values)
+    return BoostResult(picked, w), np.stack(columns, axis=1)
+
+
 def boost(values: np.ndarray, labels: np.ndarray,
           rounds: int) -> BoostResult:
-    """Discrete AdaBoost over a feature-value matrix (n samples x F features).
-
-    Weights start uniform and are renormalized each round; correctly
-    classified samples are scaled by beta = eps / (1 - eps) with eps clamped
-    away from 0 and 1. The search reads one row of values.T per feature, so
-    it runs fastest on the transpose of a C-ordered (F, n) array, as
-    feature_value_matrix returns.
+    """Discrete AdaBoost (see _boost_rounds) over a feature-value matrix
+    (n samples x F features). The presort reads one row of values.T per
+    feature, so it runs fastest on the transpose of a C-ordered (F, n)
+    array, as feature_value_matrix returns.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
@@ -430,21 +468,7 @@ def boost(values: np.ndarray, labels: np.ndarray,
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     order, tied = _presort(values)
-    rows = values.T
-    w = np.full(n, 1.0 / n)
-    picked: list[BoostRound] = []
-    for _ in range(rounds):
-        w = w / w.sum()
-        f = int(np.argmin(_best_feature_errors(order, tied, labels, w)))
-        fit = _best_stump(rows[f], order[f], tied[f], labels, w)
-        eps = min(max(fit.error, _EPS_CLAMP), 1.0 - _EPS_CLAMP)
-        beta = eps / (1.0 - eps)
-        alpha = math.log(1.0 / beta)
-        h = stump_predict(rows[f], fit.threshold, fit.polarity)
-        w = np.where(h == labels, w * beta, w)
-        picked.append(BoostRound(f, fit.threshold, fit.polarity, alpha,
-                                 fit.error))
-    return BoostResult(picked, w)
+    return _boost_rounds(order, tied, labels, rounds, values.T.__getitem__)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -463,23 +487,34 @@ def feature_grid(base_w: int, base_h: int, step: int) -> list[HaarFeature]:
     return pool
 
 
-def feature_value_matrix(windows: np.ndarray,
-                         features: Sequence[HaarFeature]) -> np.ndarray:
-    """Variance-normalized feature values of an (n, h, w) stack of windows,
-    shape (n windows, n features): the transpose of a C-ordered array with
-    one row per feature, which is the layout boost reads."""
+def _stack_scorer(windows: np.ndarray):
+    """The scorer of an (n, h, w) window stack: it maps a block of up to
+    _CHUNK features to their variance-normalized values, one row per
+    feature. The stack's summed areas (one row of windows per flat offset)
+    and window divisors are built once, here."""
     n, h, w = windows.shape
-    # one row of windows per flat offset
     sums, squares = summed_areas(windows.transpose(1, 2, 0)).reshape(
         2, (h + 1) * (w + 1), n)
     stride = w + 1
     window = _flat_offsets(np.array([[0], [0], [w], [h]]), stride)
     div = _window_divisor(sums[window], squares[window], w * h)
-    out = np.empty((len(features), n))
+    sums = sums.copy()  # frees the squares table
+
+    def score(features: Sequence[HaarFeature]) -> np.ndarray:
+        table = _feature_table(features, 1.0, stride)
+        return _feature_values(_rect_sums(sums[table.offsets]), table, div)
+    return score
+
+
+def feature_value_matrix(windows: np.ndarray,
+                         features: Sequence[HaarFeature]) -> np.ndarray:
+    """Variance-normalized feature values of an (n, h, w) stack of windows,
+    shape (n windows, n features): the transpose of a C-ordered array with
+    one row per feature, which is the layout boost reads."""
+    score = _stack_scorer(windows)
+    out = np.empty((len(features), len(windows)))
     for lo in range(0, len(features), _CHUNK):
-        table = _feature_table(features[lo:lo + _CHUNK], 1.0, stride)
-        out[lo:lo + table.n] = _feature_values(
-            _rect_sums(sums[table.offsets]), table, div)
+        out[lo:lo + _CHUNK] = score(features[lo:lo + _CHUNK])
     return out.T
 
 
@@ -504,24 +539,34 @@ def train_stage(positives: np.ndarray, negatives: np.ndarray, rounds: int,
                 features: Sequence[HaarFeature]) -> tuple[Stage, np.ndarray]:
     """Boost `rounds` decision stumps on two (n, h, w) window stacks, then
     lower the stage threshold from half the total vote until the stage
-    passes the target share of positives. Every window is scored once,
-    from the values boosting used; returns (stage, negatives' scores)."""
+    passes the target share of positives; returns (stage, negatives'
+    scores).
+
+    The pool is scored and presorted one block of features at a time, and
+    each block's values are dropped once sorted, so no (n, F) value matrix
+    is held. A round re-scores only the feature it picks, and those values
+    give the stage scores."""
     if not len(positives) or not len(negatives):
         raise EmptyInput("need both positive and negative windows")
     if not 0 < target_detection_rate <= 1:
         raise ValueError("target_detection_rate must be in (0, 1]")
     if not features:
         raise NoFeatures("empty feature pool")
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
     labels = np.array([1] * len(positives) + [-1] * len(negatives))
-    values = feature_value_matrix(np.concatenate([positives, negatives]),
-                                  features)
-    result = boost(values, labels, rounds)
+    score = _stack_scorer(np.concatenate([positives, negatives]))
+    order, tied = _presort_rows(
+        (score(features[lo:lo + _CHUNK])
+         for lo in range(0, len(features), _CHUNK)), len(labels),
+        len(features))
+    result, values = _boost_rounds(order, tied, labels, rounds,
+                                   lambda f: score(features[f:f + 1])[0])
     weak = tuple(
         (WeakClassifier(features[r.feature_index], r.threshold, r.polarity),
          r.alpha)
         for r in result.rounds)
-    scores = stage_scores(Stage(weak, 0.0),
-                          values[:, [r.feature_index for r in result.rounds]])
+    scores = stage_scores(Stage(weak, 0.0), values)
     need = math.ceil(target_detection_rate * len(positives))
     passing = np.sort(scores[:len(positives)])[len(positives) - need]
     threshold = min(0.5 * sum(alpha for _, alpha in weak), float(passing))
@@ -555,9 +600,14 @@ def train_cascade(positives: np.ndarray, negatives: np.ndarray,
 # Scanning
 
 # detect refuses a frame whose scan plan holds more windows: 1920 x 1080
-# holds 1,559,176 with the default ScanConfig and a 24 x 24 base window. At
-# the cap, a first stage of 36 corner offsets peaks at about 420 MB.
+# holds 1,559,176 with the default ScanConfig and a 24 x 24 base window.
+# The plan's origins and the integral image grow with the frame; the
+# corner gathers do not (_GATHER_BUDGET).
 MAX_SCAN_WINDOWS = 2_000_000
+# detect scans a level's windows in slices of at most this many corner
+# reads at the cascade's largest stage, so no stage gathers more than
+# 32 MB of int64 indices and 32 MB of sums at once, whatever the frame
+_GATHER_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -684,7 +734,8 @@ def detect(img: Image, cascade: Cascade,
 
     The compiled levels and origin grids of a cascade and image size are
     built on the first frame that needs them and reused after that; a
-    frame of over MAX_SCAN_WINDOWS windows raises ImageTooLarge first."""
+    frame of over MAX_SCAN_WINDOWS windows raises ImageTooLarge first.
+    Each level is scanned in slices of origins (_GATHER_BUDGET)."""
     if img.channels != 1:
         raise ValueError("detect expects a grayscale image")
     if img.width < cascade.base_w or img.height < cascade.base_h:
@@ -695,11 +746,15 @@ def detect(img: Image, cascade: Cascade,
                       scan.step_frac)
     ii = integral_image(img)
     raw: list[Rect] = []
-    for level, base in plan:
-        ys, xs = np.divmod(base[_cascade_pass(ii, level, base)],
-                           img.width + 1)
-        raw.extend(Rect(int(x), int(y), level.win_w, level.win_h)
-                   for x, y in zip(xs, ys))
+    for level, origins in plan:
+        reads = max(len(table.offsets) for _, table in level.stages)
+        size = max(1, _GATHER_BUDGET // reads)
+        for lo in range(0, len(origins), size):
+            base = origins[lo:lo + size]
+            ys, xs = np.divmod(base[_cascade_pass(ii, level, base)],
+                               img.width + 1)
+            raw.extend(Rect(int(x), int(y), level.win_w, level.win_h)
+                       for x, y in zip(xs, ys))
     raw.sort(key=lambda r: (r.y, r.x, r.w, r.h))
     boxes: list[FaceBox] = []
     for members, m in _group_rects(raw, scan.group_iou):

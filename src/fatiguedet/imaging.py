@@ -146,7 +146,11 @@ def _parse_pnm_header(data: bytes) -> tuple[bytes, list[int], int]:
             raise MalformedHeader("truncated header")
         if not tok.isdigit():  # ASCII digits only: int() also takes b"1_0"
             raise MalformedHeader(f"non-numeric header token {tok!r}")
-        values.append(int(tok))
+        # int() refuses strings past 4,300 digits, leading zeros included
+        digits = tok.lstrip(b"0")
+        if len(digits) > 9:
+            raise MalformedHeader("header number of more than 9 digits")
+        values.append(int(digits or b"0"))
     if not data[pos:pos + 1].isspace():
         raise MalformedHeader("missing whitespace before raster")
     return data[:2], values, pos + 1

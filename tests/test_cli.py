@@ -344,6 +344,26 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("width", [b"1" * 5000, b"0" * 5000 + b"2"],
+                             ids=["5000-digits", "5000-zeros-then-2"])
+    def test_overlong_header_number_is_data_error(self, tmp_path, width,
+                                                  capsys):
+        # Python's int() refuses either token past 4,300 digits; the first
+        # is refused as malformed, the second reads as 2 and its short
+        # raster is the data error
+        frame = tmp_path / "long.pgm"
+        frame.write_bytes(b"P5 " + width + b" 2 255\n" + bytes(3))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"{frame},-1\n{frame},+1\n")
+        out = tmp_path / "never"
+        assert main(["train", "--manifest", str(manifest), "--out-dir",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("header number of more than 9 digits" if b"1" in width
+                else "raster has 3 bytes, expected 4") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_pca_off_the_roi_layout_is_model_error(self, workdir, tmp_path,
                                                    capsys):
         # PIPE_TEXT's PCA takes 3 values: an eye window of 2 and a mouth

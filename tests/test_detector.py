@@ -38,7 +38,13 @@ from fatiguedet.errors import (
     VersionMismatch,
 )
 from fatiguedet.imaging import Image, Rect, integral_image, iround
-from fatiguedet.synth import BACKGROUND, SyntheticSpec, draw_face, generate
+from fatiguedet.synth import (
+    BACKGROUND,
+    SyntheticSpec,
+    detector_windows,
+    draw_face,
+    generate,
+)
 
 
 def gray(arr):
@@ -420,6 +426,12 @@ def argsort_boost(values, labels, rounds):
     return BoostResult(picked, w)
 
 
+def order_type(n):
+    """_presort's index type: int16 holds every index of n <= 32,768
+    samples, int32 the rest."""
+    return np.int16 if n <= 32_768 else np.int32
+
+
 def tied_matrix(rng, n, nf):
     """Random values where many columns hold repeated values."""
     values = rng.normal(size=(n, nf))
@@ -553,7 +565,7 @@ class TestBoost:
             w = rng.random(n)
             w /= w.sum()
             order, tied = detector._presort(values)
-            assert order.dtype == np.int32
+            assert order.dtype == order_type(n)
             assert np.array_equal(
                 detector._best_feature_errors(order, tied, labels, w),
                 _best_feature_errors(values, labels, w))
@@ -574,7 +586,7 @@ class TestBoost:
         order, tied = detector._presort(values)
         stable = np.argsort(values, axis=0, kind="stable")
         v = np.take_along_axis(values, stable, axis=0)
-        assert order.dtype == np.int32
+        assert order.dtype == order_type(n)
         assert np.array_equal(order, stable.T)
         assert tied.shape == (nf, n + 1)
         assert not tied[:, 0].any() and not tied[:, n].any()
@@ -588,6 +600,20 @@ class TestBoost:
         order, _ = detector._presort(values)
         assert np.array_equal(order[0], np.argsort(values[:, 0],
                                                    kind="stable"))
+
+    @pytest.mark.parametrize("n", [32_768, 32_769])
+    def test_presort_index_type_at_the_int16_edge(self, rng, n):
+        # the last index, n - 1, is the int16 maximum at n = 32,768
+        values = tied_matrix(rng, n, 3)
+        labels = rng.choice([1, -1], size=n)
+        order, _ = detector._presort(values)
+        assert order.dtype == order_type(n)
+        assert np.array_equal(order, np.argsort(values, axis=0,
+                                                kind="stable").T)
+        got = boost(values, labels, 2)
+        want = argsort_boost(values, labels, 2)
+        assert got.rounds == want.rounds
+        assert np.array_equal(got.weights, want.weights)
 
     def test_complex_split_errors_match_two_cumsums(self, rng):
         for _ in range(20):
@@ -670,20 +696,84 @@ class TestTrainStage:
         values = feature_value_matrix(neg, [w.feature for w, _ in stage.weak])
         assert np.array_equal(scores, stage_scores(stage, values))
 
-    def test_cascade_computes_values_once_per_stage(self, rng, monkeypatch):
+    def test_stack_tables_once_and_each_feature_once_per_stage(
+            self, rng, monkeypatch):
+        # per stage: the stack's tables built once, the pool scored in
+        # blocks of _CHUNK in pool order, then one single-feature block per
+        # boosting round
         calls = []
-        matrix = detector.feature_value_matrix
+        stack_scorer = detector._stack_scorer
 
-        def counted(windows, features):
-            calls.append(len(windows))
-            return matrix(windows, features)
+        def counted_scorer(windows):
+            calls.append(None)
+            score = stack_scorer(windows)
 
-        monkeypatch.setattr(detector, "feature_value_matrix", counted)
+            def counted(features):
+                calls.append(list(features))
+                return score(features)
+            return counted
+
+        monkeypatch.setattr(detector, "_stack_scorer", counted_scorer)
+        pool = feature_grid(24, 24, 4)
+        blocks = -(-len(pool) // detector._CHUNK)
+        assert blocks > 1 and len(pool) % detector._CHUNK
         cascade = train_cascade(toy_windows(rng, 30, True),
                                 toy_windows(rng, 80, False), (2, 3), 0.99,
-                                feature_grid(24, 24, 4))
+                                pool)
         assert len(cascade.stages) == 2
-        assert len(calls) == 2
+        assert calls.count(None) == 2
+        for stage in cascade.stages:
+            rounds = len(stage.weak)
+            assert calls[0] is None
+            scored = calls[1:1 + blocks]
+            assert all(len(b) <= detector._CHUNK for b in scored)
+            assert [f for block in scored for f in block] == pool
+            picked = calls[1 + blocks:1 + blocks + rounds]
+            assert picked == [[weak.feature] for weak, _ in stage.weak]
+            calls = calls[1 + blocks + rounds:]
+        assert calls == []
+
+    def test_matches_the_matrix_reference(self, rng):
+        # the stage boost would train on the whole value matrix, on a pool
+        # whose last block is partial
+        pool = feature_grid(24, 24, 4)[:150]
+        assert len(pool) % detector._CHUNK
+        pos, neg = toy_windows(rng, 25, True), toy_windows(rng, 35, False)
+        labels = np.array([1] * len(pos) + [-1] * len(neg))
+        values = feature_value_matrix(np.concatenate([pos, neg]), pool)
+        for rounds, rate in ((1, 1.0), (4, 0.9), (6, 0.99)):
+            result = boost(values, labels, rounds)
+            weak = tuple((WeakClassifier(pool[r.feature_index], r.threshold,
+                                         r.polarity), r.alpha)
+                         for r in result.rounds)
+            scores = stage_scores(
+                Stage(weak, 0.0),
+                values[:, [r.feature_index for r in result.rounds]])
+            need = math.ceil(rate * len(pos))
+            passing = np.sort(scores[:len(pos)])[len(pos) - need]
+            want = Stage(weak, min(0.5 * sum(a for _, a in weak),
+                                   float(passing)))
+            stage, neg_scores = train_stage(pos, neg, rounds, rate, pool)
+            assert stage == want
+            assert np.array_equal(neg_scores, scores[len(pos):])
+
+    def test_stage_holds_no_value_matrix(self):
+        # the windows detect-train --n-frames 60 --seed 7 trains its first
+        # stage on, against the feature-step 3 pool: the (n, F) float64
+        # matrix alone would take 8 bytes a value, and the presorted order
+        # and tie mask take 3
+        records = generate(SyntheticSpec(n_frames=60, fraction_fatigued=0.5,
+                                         seed=7))
+        pos, neg = detector_windows(records, seed=8)
+        pool = feature_grid(24, 24, 3)
+        n = len(pos) + len(neg)
+        tracemalloc.start()
+        try:
+            train_stage(pos, neg, 3, 0.99, pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * len(pool) * 10
 
 
 class TestClassifyWindow:
@@ -911,6 +1001,42 @@ class TestCompiledScan:
         img = gray(rng.integers(0, 256, size=(height, width)))
         assert box_tuples(detect(img, cascade, scan)) == \
             reference_detect(img, cascade, scan)
+
+    @settings(max_examples=30)
+    @given(cascade=small_cascades(), data=st.data())
+    def test_sliced_scan_matches_one_slice_per_level(self, cascade, data):
+        if data.draw(st.booleans()):
+            # the first stage, with one stump of every kind, last: the
+            # budget binds a later stage, not only the first
+            cascade = Cascade(cascade.base_w, cascade.base_h,
+                              cascade.stages[::-1])
+        width = data.draw(st.integers(cascade.base_w, 40))
+        height = data.draw(st.integers(cascade.base_h, 40))
+        scan = ScanConfig(scale_factor=data.draw(st.floats(1.1, 2.0)),
+                          step_frac=data.draw(st.floats(0.05, 1.0)),
+                          min_neighbors=1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        img = gray(rng.integers(0, 256, size=(height, width)))
+        whole = detect(img, cascade, scan)
+        reads = max(len(table.offsets) for _, table in
+                    detector._scan_level(cascade, 1.0, width + 1).stages)
+        budget = reads * data.draw(st.integers(1, 5)) + data.draw(
+            st.integers(0, reads - 1))
+        slices = []
+        cascade_pass = detector._cascade_pass
+
+        def recorded(ii, level, base):
+            slices.append(len(base))
+            return cascade_pass(ii, level, base)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(detector, "_GATHER_BUDGET", budget)
+            patch.setattr(detector, "_cascade_pass", recorded)
+            assert detect(img, cascade, scan) == whole
+        assert max(slices) * reads <= budget
+        plan = detector._scan_plan(cascade, width, height, scan.scale_factor,
+                                   scan.step_frac)
+        assert sum(slices) == sum(len(base) for _, base in plan)
 
     def test_tables_follow_the_cascade_and_the_image_size(self,
                                                          face_cascade):

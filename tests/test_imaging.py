@@ -120,6 +120,29 @@ class TestPnmCodec:
         with pytest.raises(MalformedHeader, match="non-numeric"):
             load_pnm(header + bytes(10))
 
+    @pytest.mark.parametrize("token", [
+        b"1" * 5000, b"1234567890", b"0" * 5000 + b"1234567890"],
+        ids=["5000-digits", "10-digits", "zeros-then-10-digits"])
+    @pytest.mark.parametrize("field", range(3))
+    def test_header_number_past_nine_digits(self, token, field):
+        # int() refuses strings past 4,300 digits with a bare ValueError
+        tokens = [b"2", b"2", b"255"]
+        tokens[field] = token
+        with pytest.raises(MalformedHeader, match="more than 9 digits"):
+            load_pnm(b"P5 " + b" ".join(tokens) + b"\n" + bytes(4))
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        # 0002 reads as 2, however many zeros lead
+        for zeros in (3, 5000):
+            img = load_pnm(b"P5 " + b"0" * zeros + b"2 " + b"0" * zeros
+                           + b"1 " + b"0" * zeros + b"255\n" + bytes([7, 9]))
+            assert img.pixels.tolist() == [[7, 9]]
+        # nine significant digits are a number, here too large a raster
+        with pytest.raises(TruncatedRaster):
+            load_pnm(b"P5 999999999 1 255\n" + bytes(4))
+        with pytest.raises(MalformedHeader, match="bad dimensions 0x1"):
+            load_pnm(b"P5 " + b"0" * 5000 + b" 1 255\n")
+
     @given(st.sampled_from([b"P5", b"P6"]), st.integers(1, 6),
            st.integers(1, 6), st.integers(0, 2),
            st.lists(PNM_SEPARATORS, min_size=3, max_size=3),
