@@ -7,8 +7,12 @@ deviation (floored at 1), the standard guard against lighting changes.
 One table of flat corner offsets (`y * stride + x`) per feature set, scale
 and integral-image row stride serves the scan and training alike, and one
 scorer turns the corner reads into feature values. `detect` compiles the
-cascade once per scale and frame stride and reads all corners of a stage
-with one `take` per window origin, a bounded slice of origins at a time.
+cascade once per frame size into one scan plan whose columns are the
+windows of every scale, and scores each stage in at most two batches of
+stumps: after the first batch it drops every window whose total can no
+longer reach the stage threshold (_reach), which leaves the same windows
+as scoring every stump. Each batch reads all its corners with one `take`,
+a bounded slice of windows at a time.
 Training takes its windows as an (n, h, w) uint8 stack, sums the whole
 stack with the window on the last axis and reads a row of windows per
 offset. A stage scores and presorts its feature pool one block of
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -167,9 +171,12 @@ class _FeatureTable:
     in `fourth` (4)."""
 
     n: int  # features
-    offsets: np.ndarray  # (4 * rows,) flat corners in _flat_offsets order
-    actual: np.ndarray  # (rows, 1) scaled areas
-    coeff: np.ndarray  # (rows, 1) weight * ideal area
+    # at one scale offsets is (4 * rows,) and actual and coeff (rows, 1); a
+    # scan plan gives each one column per level, or per window with the
+    # window's origin added to the offsets
+    offsets: np.ndarray  # flat corners in _flat_offsets order
+    actual: np.ndarray  # scaled areas
+    coeff: np.ndarray  # weight * ideal area
     third: np.ndarray
     fourth: np.ndarray
 
@@ -182,9 +189,10 @@ def _flat_offsets(corners: np.ndarray, stride: int) -> np.ndarray:
                            y2 * stride + x1, y1 * stride + x1])
 
 
-def _feature_table(features: Sequence[HaarFeature], scale: float,
+def _feature_table(features: Sequence[HaarFeature], scale,
                    stride: int) -> _FeatureTable:
-    """The table of features at scale. Each sub-rect corner scales and
+    """The table of features at scale, or with one column per scale at an
+    array of scales. Each sub-rect corner scales and
     rounds half up on its own, so adjacent sub-rects keep tiling; the
     rect's sum is divided by its scaled area and multiplied by weight times
     its unrounded area at scale, so on a constant image the weighted areas
@@ -203,16 +211,17 @@ def _feature_table(features: Sequence[HaarFeature], scale: float,
     cw, ch = cw[f], ch[f]
     x1 = x[f] + k % cols[f] * cw
     y1 = y[f] + k // cols[f] * ch
-    corners = np.floor(np.stack([x1, y1, x1 + cw, y1 + ch]) * scale + 0.5
-                       ).astype(np.intp)  # iround
+    scales = np.reshape(scale, -1)
+    corners = np.floor(np.stack([x1, y1, x1 + cw, y1 + ch])[..., None]
+                       * scales + 0.5).astype(np.intp)  # iround
     actual = (corners[2] - corners[0]) * (corners[3] - corners[1])
     if np.any(actual <= 0):
         raise ValueError(f"degenerate sub-rect at scale {scale}")
-    ideal = cw * ch * scale * scale
-    return _FeatureTable(n, _flat_offsets(corners, stride),
-                         actual[:, None].astype(np.float64),
-                         (_WEIGHTS[kind[f], k] * ideal)[:, None],
-                         third, fourth)
+    ideal = (cw * ch)[:, None] * scales * scales
+    return _FeatureTable(n, _flat_offsets(corners, stride).reshape(
+                             -1, *np.shape(scale)),
+                         actual.astype(np.float64),
+                         _WEIGHTS[kind[f], k][:, None] * ideal, third, fourth)
 
 
 def _rect_sums(corners: np.ndarray) -> np.ndarray:
@@ -518,6 +527,18 @@ def feature_value_matrix(windows: np.ndarray,
     return out.T
 
 
+def _add_votes(total: np.ndarray, stage: Stage, lo: int,
+               values: np.ndarray) -> np.ndarray:
+    """Add to total, in place and one stump after another, the alpha of
+    each of stage's stumps lo, lo + 1, ... that votes +1 on its row of
+    values (one row per stump, one column per window)."""
+    thresholds, polarities, alphas = stage.votes
+    for j, row in enumerate(values, lo):
+        total += np.where(polarities[j] * (row - thresholds[j]) >= 0,
+                          alphas[j], 0.0)
+    return total
+
+
 def stage_scores(stage: Stage, values_by_weak: np.ndarray) -> np.ndarray:
     """Sum of alphas over weak classifiers voting +1, added in the order of
     stage.weak (a numpy reduction could reorder the sum).
@@ -525,13 +546,8 @@ def stage_scores(stage: Stage, values_by_weak: np.ndarray) -> np.ndarray:
     values_by_weak holds one column per weak classifier, aligned with
     stage.weak.
     """
-    thresholds, polarities, alphas = stage.votes
-    votes = np.where(polarities * (values_by_weak - thresholds) >= 0,
-                     alphas, 0.0)
-    total = np.zeros(len(votes))
-    for column in votes.T:
-        total += column
-    return total
+    return _add_votes(np.zeros(len(values_by_weak)), stage, 0,
+                      values_by_weak.T)
 
 
 def train_stage(positives: np.ndarray, negatives: np.ndarray, rounds: int,
@@ -604,41 +620,132 @@ def train_cascade(positives: np.ndarray, negatives: np.ndarray,
 # The plan's origins and the integral image grow with the frame; the
 # corner gathers do not (_GATHER_BUDGET).
 MAX_SCAN_WINDOWS = 2_000_000
-# detect scans a level's windows in slices of at most this many corner
-# reads at the cascade's largest stage, so no stage gathers more than
-# 32 MB of int64 indices and 32 MB of sums at once, whatever the frame
+# detect scans a plan's windows in slices of at most this many corner reads
+# at the cascade's largest stage, so no batch gathers more than 32 MB of
+# intp indices and 32 MB of int64 sums (16 MB of int32) at once
 _GATHER_BUDGET = 1 << 22
+# a plan keeps the reads, areas and coefficients of the window divisor and
+# of the first batch for all its windows while they fit in this many bytes
+# (3.6 MB for a 160 x 160 frame and the stream_day cascade); a larger plan
+# builds them per slice and frame
+_PLAN_CACHE_BYTES = 1 << 22
+
+
+def _reach(total, rest: np.ndarray):
+    """The largest stage total that a window holding total after some
+    stumps can end with: total plus every later alpha, added left to right.
+    Float addition is monotone in each operand, so no window ends above it,
+    and one whose reach is below the threshold cannot pass the stage."""
+    for alpha in rest:
+        total = total + alpha
+    return total
 
 
 @dataclass(frozen=True, eq=False)
-class _ScanLevel:
-    """A cascade compiled for one scale and integral-image row stride: the
-    flat corner offsets of the window and each stage's feature table."""
+class _Batch:
+    """The stumps lo.. of a stage that are scored together: their feature
+    table with one column per scan level, and the alphas of the stage's
+    later stumps."""
 
-    scale: float
-    win_w: int
-    win_h: int
-    window: np.ndarray
-    stages: tuple[tuple[Stage, _FeatureTable], ...]
+    stage: Stage
+    lo: int
+    table: _FeatureTable
+    rest: np.ndarray
 
 
-def _scan_level(cascade: Cascade, scale: float, stride: int) -> _ScanLevel:
-    win_w = iround(cascade.base_w * scale)
-    win_h = iround(cascade.base_h * scale)
-    stages = tuple(
-        (stage, _feature_table([weak.feature for weak, _ in stage.weak],
-                               scale, stride))
-        for stage in cascade.stages)
-    return _ScanLevel(scale, win_w, win_h,
-                      _flat_offsets(np.array([[0], [0], [win_w], [win_h]]),
-                                    stride), stages)
+@dataclass(frozen=True, eq=False)
+class _ScanPlan:
+    """A cascade compiled for one frame size and scan. Every window of every
+    level is a column: origin holds its flat origin y * stride + x, level
+    by level and x-major within a level, and starts the first column of
+    each level. window is the window rect as a one-row table whose area is
+    its pixel count and whose coefficient is scale^2, one column per level;
+    each stage is one or two batches. slices are the column ranges scanned
+    at once, each with its divisor and first-batch tables at its windows
+    when the plan keeps them."""
+
+    stride: int
+    origin: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray  # (2, levels) window width and height
+    window: _FeatureTable
+    stages: tuple[tuple[_Batch, ...], ...]
+    slices: tuple = ()
+
+
+def _batches(stage: Stage, scales: np.ndarray,
+             stride: int) -> tuple[_Batch, ...]:
+    """stage as one or two batches: it splits at the first stump after
+    which a window holding the least total, 0, could fail, since before it
+    no window can."""
+    alphas = stage.votes[2]
+    m = len(alphas)
+    k = next((k for k in range(1, m)
+              if _reach(0.0, alphas[k:]) < stage.threshold), m)
+    features = [weak.feature for weak, _ in stage.weak]
+    return tuple(_Batch(stage, lo, _feature_table(features[lo:hi], scales,
+                                                  stride), alphas[hi:])
+                 for lo, hi in ((0, k), (k, m)) if lo < hi)
+
+
+def _at(table: _FeatureTable, plan: _ScanPlan,
+        cols: np.ndarray) -> _FeatureTable:
+    """table (one column per level) at the plan's windows cols, ascending:
+    one column per window, with the window's origin added to the offsets.
+    The windows of a level are a run of cols, so the offsets are added a
+    level at a time rather than gathered per window."""
+    cuts = np.searchsorted(cols, plan.starts)
+    origin = plan.origin[cols]
+    offsets = np.concatenate(
+        [table.offsets[:, level, None] + origin[a:b]
+         for level, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])) if a < b],
+        axis=1)
+    level = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    return _FeatureTable(table.n, offsets, table.actual.take(level, axis=1),
+                         table.coeff.take(level, axis=1), table.third,
+                         table.fourth)
+
+
+def _slice_tables(plan: _ScanPlan, cols: slice) -> tuple:
+    """The divisor's and the first batch's tables at the windows cols."""
+    at = np.arange(cols.start, cols.stop)
+    return _at(plan.window, plan, at), _at(plan.stages[0][0].table, plan, at)
+
+
+def _compile(cascade: Cascade, stride: int, grids: list) -> _ScanPlan:
+    """The scan plan of windows on an integral image of row stride, given
+    as (scale, origin columns, origin rows) per level."""
+    scales = np.array([scale for scale, _, _ in grids])
+    win_w, win_h = sizes = np.array(
+        [(iround(cascade.base_w * s), iround(cascade.base_h * s))
+         for s in scales]).T
+    origin = np.concatenate([(xs[:, None] + ys * stride).ravel()
+                             for _, xs, ys in grids])
+    window = _FeatureTable(
+        1, _flat_offsets(np.stack([0 * win_w, 0 * win_h, win_w, win_h]),
+                         stride).reshape(4, -1),
+        (win_w * win_h)[None].astype(np.float64), (scales * scales)[None],
+        np.empty(0, np.intp), np.empty(0, np.intp))
+    plan = _ScanPlan(stride, origin,
+                     np.cumsum([0] + [len(xs) * len(ys) for _, xs, ys in grids]),
+                     sizes, window, tuple(_batches(stage, scales, stride)
+                                          for stage in cascade.stages))
+    reads = max(sum(4 * len(b.table.actual) for b in batches)
+                for batches in plan.stages)
+    size, n = max(1, _GATHER_BUDGET // reads), len(origin)
+    # 4 intp reads and 2 floats a row: the window and the first batch's
+    keep = n * 48 * (1 + len(plan.stages[0][0].table.actual)) \
+        <= _PLAN_CACHE_BYTES
+    cuts = [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    return replace(plan, slices=tuple(
+        (cols, _slice_tables(plan, cols) if keep else None) for cols in cuts))
 
 
 @functools.lru_cache(maxsize=8)
 def _scan_plan(cascade: Cascade, width: int, height: int,
-               scale_factor: float, step_frac: float):
-    """(level, base) per scale of a width x height frame: the compiled
-    level and the window origins as flat indices y * stride + x, x-major.
+               scale_factor: float, step_frac: float) -> _ScanPlan:
+    """The scan plan of a width x height frame: every scale from 1 up, by
+    scale_factor, whose window fits, at a step of step_frac windows.
 
     Keyed by the cascade's value, never its id (a freed cascade's id can
     be reused), and by the image size, which fixes the stride.
@@ -658,45 +765,54 @@ def _scan_plan(cascade: Cascade, width: int, height: int,
     if windows > MAX_SCAN_WINDOWS:
         raise ImageTooLarge(f"{width}x{height} image needs {windows} scan "
                             f"windows, over the limit of {MAX_SCAN_WINDOWS}")
-    return tuple((_scan_level(cascade, scale, width + 1),
-                  (xs[:, None] + ys * (width + 1)).ravel())
-                 for scale, xs, ys in grids)
+    return _compile(cascade, width + 1, grids)
 
 
 def check_scan(cascade: Cascade, width: int, height: int,
                scan: ScanConfig) -> None:
     """Raise ImageTooLarge where detect would refuse a width x height
-    frame; the plan it counts is cached for detect."""
-    _scan_plan(cascade, width, height, scan.scale_factor, scan.step_frac)
+    frame; the plan it counts is cached for detect. A frame smaller than
+    the base window has no plan (detect raises ImageTooSmall)."""
+    if width >= cascade.base_w and height >= cascade.base_h:
+        _scan_plan(cascade, width, height, scan.scale_factor, scan.step_frac)
 
 
-def _scaled_divisor(ii: IntegralImage, level: _ScanLevel,
-                    base: np.ndarray) -> np.ndarray:
-    """scale^2 * max(pixel standard deviation, 1) per window.
+def _scaled_divisor(ii: IntegralImage, window: _FeatureTable) -> np.ndarray:
+    """scale^2 * max(pixel standard deviation, 1) of the windows of a
+    _slice_tables window table.
 
     Dividing by scale^2 as well as the standard deviation brings values
     from any scale into base window units, so stump thresholds transfer
     across scales.
     """
-    at = level.window[:, None] + base
-    return (level.scale * level.scale) * _window_divisor(
-        ii.sums.ravel().take(at), ii.squares.ravel().take(at),
-        level.win_w * level.win_h)
+    return window.coeff[0] * _window_divisor(
+        ii.sums.ravel().take(window.offsets),
+        ii.squares.ravel().take(window.offsets), window.actual[0])
 
 
-def _cascade_pass(ii: IntegralImage, level: _ScanLevel,
-                  base: np.ndarray) -> np.ndarray:
-    """Indices of the windows at flat origins base that pass every stage of
-    level; a window leaves at the first stage it fails."""
+def _cascade_pass(plan: _ScanPlan, ii: IntegralImage, cols: slice,
+                  tables: tuple) -> np.ndarray:
+    """The plan's windows among cols that pass every stage; tables are the
+    divisor's and the first batch's at those windows (_slice_tables).
+
+    A window leaves after the first batch whose reach it falls short of.
+    """
     sums = ii.sums.ravel()
-    div = _scaled_divisor(ii, level, base)
-    alive = np.arange(len(base))
-    for stage, table in level.stages:
-        corners = sums.take(table.offsets[:, None] + base[alive])
-        values = _feature_values(_rect_sums(corners), table, div[alive])
-        alive = alive[stage_scores(stage, values.T) >= stage.threshold]
-        if not len(alive):
-            break
+    window, table = tables
+    div = _scaled_divisor(ii, window)
+    alive = np.arange(cols.start, cols.stop)
+    for batches in plan.stages:
+        total = np.zeros(len(alive))
+        for batch in batches:
+            table = table or _at(batch.table, plan, alive)
+            values = _feature_values(_rect_sums(sums.take(table.offsets)),
+                                     table, div)
+            _add_votes(total, batch.stage, batch.lo, values)
+            keep = _reach(total, batch.rest) >= batch.stage.threshold
+            alive, div, total = alive[keep], div[keep], total[keep]
+            table = None
+            if not len(alive):
+                return alive
     return alive
 
 
@@ -732,10 +848,10 @@ def detect(img: Image, cascade: Cascade,
     below min_neighbors discarded; each surviving group reports its mean
     box with the group size as score, sorted by (y, x).
 
-    The compiled levels and origin grids of a cascade and image size are
-    built on the first frame that needs them and reused after that; a
-    frame of over MAX_SCAN_WINDOWS windows raises ImageTooLarge first.
-    Each level is scanned in slices of origins (_GATHER_BUDGET)."""
+    The scan plan of a cascade and image size is built on the first frame
+    that needs it and reused after that; a frame of over MAX_SCAN_WINDOWS
+    windows raises ImageTooLarge first. The windows of all levels are
+    scanned together, in slices of at most _GATHER_BUDGET corner reads."""
     if img.channels != 1:
         raise ValueError("detect expects a grayscale image")
     if img.width < cascade.base_w or img.height < cascade.base_h:
@@ -746,15 +862,13 @@ def detect(img: Image, cascade: Cascade,
                       scan.step_frac)
     ii = integral_image(img)
     raw: list[Rect] = []
-    for level, origins in plan:
-        reads = max(len(table.offsets) for _, table in level.stages)
-        size = max(1, _GATHER_BUDGET // reads)
-        for lo in range(0, len(origins), size):
-            base = origins[lo:lo + size]
-            ys, xs = np.divmod(base[_cascade_pass(ii, level, base)],
-                               img.width + 1)
-            raw.extend(Rect(int(x), int(y), level.win_w, level.win_h)
-                       for x, y in zip(xs, ys))
+    for cols, tables in plan.slices:
+        hits = _cascade_pass(plan, ii, cols,
+                             tables or _slice_tables(plan, cols))
+        ys, xs = np.divmod(plan.origin[hits], plan.stride)
+        level = np.searchsorted(plan.starts, hits, side="right") - 1
+        raw.extend(Rect(int(x), int(y), int(w), int(h)) for x, y, w, h
+                   in zip(xs, ys, *plan.sizes[:, level]))
     raw.sort(key=lambda r: (r.y, r.x, r.w, r.h))
     boxes: list[FaceBox] = []
     for members, m in _group_rects(raw, scan.group_iou):

@@ -10,6 +10,7 @@ All operations are pure; Image values are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -203,15 +204,20 @@ def _inside(rect: Rect | None, width: int, height: int) -> Rect:
     return rect
 
 
+@functools.lru_cache(maxsize=64)
 def _resize_axis(dst_size: int, src_size: int, start: int, stop: int):
     """One axis of resize_bilinear for destination coordinates
     start..stop-1: the lower and upper source coordinate each samples and
-    the upper one's weight."""
+    the upper one's weight. Cached, since most frames resize boxes of a
+    few sizes, so the arrays are read-only."""
     c = (np.arange(start, stop) + 0.5) * (src_size / dst_size) - 0.5
     c = np.clip(c, 0.0, src_size - 1.0)
     lo = np.floor(c).astype(np.int64)
     hi = np.minimum(lo + 1, src_size - 1)
-    return lo, hi, c - lo
+    axis = lo, hi, c - lo
+    for a in axis:
+        a.setflags(write=False)
+    return axis
 
 
 def resize_block(width: int, height: int, new_w: int, new_h: int,
@@ -272,8 +278,9 @@ def paste(img: Image, rect: Rect, width: int, height: int) -> Image:
 class IntegralImage:
     """Summed-area tables of a grayscale image.
 
-    sums and squares are (h+1, w+1) int64 grids; entry (i, j) holds the sum
-    of pixels (or squared pixels) in rows < i and columns < j.
+    sums and squares are (h+1, w+1) grids, int32 up to 33,025 pixels and
+    int64 above (summed_areas); entry (i, j) holds the sum of pixels (or
+    squared pixels) in rows < i and columns < j.
     """
 
     width: int
@@ -288,13 +295,18 @@ class IntegralImage:
 
 def summed_areas(pixels: np.ndarray) -> np.ndarray:
     """IntegralImage's sums and squares tables over the first two axes of
-    pixels, as one (2, h+1, w+1, ...) int64 array; further axes index a
-    stack of images, each summed on its own."""
-    p = pixels.astype(np.int64)
-    tables = np.zeros((2, p.shape[0] + 1, p.shape[1] + 1) + p.shape[2:],
-                      dtype=np.int64)
-    for table, values in zip(tables, (p, p * p)):
-        np.cumsum(np.cumsum(values, axis=0), axis=1, out=table[1:, 1:])
+    uint8 pixels, as one (2, h+1, w+1, ...) array; further axes index a
+    stack of images, each summed on its own. The tables are int32 when an
+    image's squared pixels cannot overflow it (65,025 * h * w < 2**31, so
+    up to 33,025 pixels), else int64; every entry is exact either way."""
+    h, w = pixels.shape[:2]
+    dtype = np.int32 if 65_025 * h * w < 1 << 31 else np.int64
+    tables = np.zeros((2, h + 1, w + 1) + pixels.shape[2:], dtype=dtype)
+    sums, squares = tables[:, 1:, 1:]
+    sums[...] = pixels
+    np.multiply(sums, sums, out=squares)
+    np.cumsum(tables, axis=1, dtype=dtype, out=tables)
+    np.cumsum(tables, axis=2, dtype=dtype, out=tables)
     return tables
 
 

@@ -148,30 +148,31 @@ def box_tuples(boxes):
     return [(b.rect.x, b.rect.y, b.rect.w, b.rect.h, b.score) for b in boxes]
 
 
-def origin_base(ii, origin):
-    """The flat index of a window origin in ii's integral images."""
-    return np.array([origin[1] * (ii.width + 1) + origin[0]])
+def window_plan(ii, cascade, origin, scale):
+    """detect's scan plan of the one window at origin and scale of ii."""
+    return detector._compile(cascade, ii.width + 1,
+                             [(scale, np.array([origin[0]]),
+                               np.array([origin[1]]))])
 
 
 def scorer_value(ii, feature, origin, scale):
     """The scan's value of feature for the window at origin, through the
-    compiled level of a one-stump cascade."""
+    compiled plan of a one-stump cascade."""
     stump = WeakClassifier(feature, 0.0, 1)
     cascade = Cascade(24, 24, (Stage(((stump, 1.0),), 0.0),))
-    level = detector._scan_level(cascade, scale, ii.width + 1)
-    base = origin_base(ii, origin)
-    _, table = level.stages[0]
-    rect_sums = detector._rect_sums(
-        ii.sums.ravel().take(table.offsets[:, None] + base))
-    div = detector._scaled_divisor(ii, level, base)
+    plan = window_plan(ii, cascade, origin, scale)
+    window, table = detector._slice_tables(plan, slice(0, 1))
+    rect_sums = detector._rect_sums(ii.sums.ravel().take(table.offsets))
+    div = detector._scaled_divisor(ii, window)
     return float(detector._feature_values(rect_sums, table, div)[0, 0])
 
 
 def passes(ii, cascade, origin, scale):
     """Whether detect's cascade pass accepts the window at origin."""
-    level = detector._scan_level(cascade, scale, ii.width + 1)
-    return len(detector._cascade_pass(ii, level, origin_base(ii, origin))) \
-        == 1
+    plan = window_plan(ii, cascade, origin, scale)
+    cols = slice(0, 1)
+    return len(detector._cascade_pass(
+        plan, ii, cols, detector._slice_tables(plan, cols))) == 1
 
 
 def random_feature(draw, kind, base_w, base_h):
@@ -797,12 +798,13 @@ class TestClassifyWindow:
             Stage(((always, 1.0),), 0.5),
         ))
         calls = []
+        add_votes = detector._add_votes
 
-        def counted(stage, values):
-            calls.append(len(values))
-            return stage_scores(stage, values)
+        def counted(total, stage, lo, values):
+            calls.append(len(total))
+            return add_votes(total, stage, lo, values)
 
-        monkeypatch.setattr(detector, "stage_scores", counted)
+        monkeypatch.setattr(detector, "_add_votes", counted)
         img = gray(rng.integers(0, 256, size=(24, 24)))
         assert detect(img, reject_first, ScanConfig(min_neighbors=1)) == []
         assert calls == [1]
@@ -934,7 +936,7 @@ class TestScanCap:
         (160, 160, 12_445), (640, 480, 211_903), (1920, 1080, 1_559_176)])
     def test_working_sizes_fit(self, face_cascade, width, height, windows):
         plan = detector._scan_plan(face_cascade, width, height, 1.25, 0.08)
-        assert sum(len(base) for _, base in plan) == windows
+        assert len(plan.origin) == windows
         assert windows <= detector.MAX_SCAN_WINDOWS
         detector._scan_plan.cache_clear()
 
@@ -1018,25 +1020,31 @@ class TestCompiledScan:
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
         img = gray(rng.integers(0, 256, size=(height, width)))
         whole = detect(img, cascade, scan)
-        reads = max(len(table.offsets) for _, table in
-                    detector._scan_level(cascade, 1.0, width + 1).stages)
+        reads = max(len(detector._feature_table(
+            [weak.feature for weak, _ in stage.weak], 1.0, width + 1).offsets)
+            for stage in cascade.stages)
         budget = reads * data.draw(st.integers(1, 5)) + data.draw(
             st.integers(0, reads - 1))
         slices = []
         cascade_pass = detector._cascade_pass
 
-        def recorded(ii, level, base):
-            slices.append(len(base))
-            return cascade_pass(ii, level, base)
+        def recorded(plan, ii, cols, tables):
+            slices.append(cols)
+            return cascade_pass(plan, ii, cols, tables)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(detector, "_GATHER_BUDGET", budget)
             patch.setattr(detector, "_cascade_pass", recorded)
+            detector._scan_plan.cache_clear()  # the plan holds the slices
             assert detect(img, cascade, scan) == whole
-        assert max(slices) * reads <= budget
+        detector._scan_plan.cache_clear()
+        assert max(c.stop - c.start for c in slices) * reads <= budget
         plan = detector._scan_plan(cascade, width, height, scan.scale_factor,
                                    scan.step_frac)
-        assert sum(slices) == sum(len(base) for _, base in plan)
+        # every window of every level, once
+        assert np.array_equal(
+            np.concatenate([np.arange(c.start, c.stop) for c in slices]),
+            np.arange(len(plan.origin)))
 
     def test_tables_follow_the_cascade_and_the_image_size(self,
                                                          face_cascade):
@@ -1079,6 +1087,116 @@ class TestCompiledScan:
                                ScanConfig(min_neighbors=1))) is found
             scores = stage_scores(stage, np.zeros((1, len(alphas))))
             assert bool(scores[0] >= stage.threshold) is found
+
+
+def scan_windows(img, cascade, scan):
+    """(origin, scale) of every window detect scans, in its plan's column
+    order: level by level, x-major within a level."""
+    windows = []
+    scale = 1.0
+    while True:
+        win_w = iround(cascade.base_w * scale)
+        win_h = iround(cascade.base_h * scale)
+        if win_w > img.width or win_h > img.height:
+            return windows
+        step = max(1, iround(scan.step_frac * win_w))
+        windows += [((ox, oy), scale)
+                    for ox in range(0, img.width - win_w + 1, step)
+                    for oy in range(0, img.height - win_h + 1, step)]
+        scale *= scan.scale_factor
+
+
+def plan_survivors(ii, plan):
+    """The plan's windows that pass every stage, from _cascade_pass."""
+    return np.concatenate([
+        detector._cascade_pass(plan, ii, cols,
+                               tables or detector._slice_tables(plan, cols))
+        for cols, tables in plan.slices])
+
+
+ALWAYS = WeakClassifier(HaarFeature("2H", Rect(0, 0, 12, 12)), -math.inf, 1)
+NEVER = WeakClassifier(HaarFeature("2H", Rect(0, 0, 12, 12)), math.inf, 1)
+
+
+class TestStageReach:
+    @settings(max_examples=30)
+    @given(cascade=small_cascades(), data=st.data())
+    def test_each_stage_keeps_what_scoring_every_stump_keeps(self, cascade,
+                                                             data):
+        width = data.draw(st.integers(cascade.base_w, 40))
+        height = data.draw(st.integers(cascade.base_h, 40))
+        scan = ScanConfig(scale_factor=data.draw(st.floats(1.1, 2.0)),
+                          step_frac=data.draw(st.floats(0.05, 1.0)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        img = gray(rng.integers(0, 256, size=(height, width)))
+        ii = integral_image(img)
+        windows = scan_windows(img, cascade, scan)
+        for s in range(1, len(cascade.stages) + 1):
+            prefix = Cascade(cascade.base_w, cascade.base_h,
+                             cascade.stages[:s])
+            plan = detector._scan_plan(prefix, width, height,
+                                       scan.scale_factor, scan.step_frac)
+            assert len(plan.origin) == len(windows)
+            expect = [i for i, (origin, scale) in enumerate(windows)
+                      if classify_window(ii, prefix, origin, scale)]
+            assert plan_survivors(ii, plan).tolist() == expect
+
+    def test_a_total_at_the_threshold_is_kept(self, rng):
+        # 1e16 + 1 rounds back to 1e16, so after the first stump a window's
+        # reach is 1e16 however many 1s follow: it ends exactly at a 1e16
+        # threshold and is kept, and falls one ulp short of the next one
+        img = gray(rng.integers(0, 256, size=(24, 24)))
+        ii = integral_image(img)
+        alphas = (1e16,) + (1.0,) * 9
+        for threshold, found in ((1e16, True),
+                                 (np.nextafter(1e16, math.inf), False)):
+            stage = Stage(tuple((ALWAYS, a) for a in alphas), threshold)
+            cascade = Cascade(24, 24, (stage,))
+            plan = window_plan(ii, cascade, (0, 0), 1.0)
+            assert [batch.lo for batch in plan.stages[0]] == [0, 1]
+            assert passes(ii, cascade, (0, 0), 1.0) is found
+            assert classify_window(ii, cascade, (0, 0), 1.0) is found
+            assert bool(detect(img, cascade,
+                               ScanConfig(min_neighbors=1))) is found
+
+    @settings(max_examples=300)
+    @given(stumps=st.lists(
+        st.tuples(st.booleans(),
+                  st.sampled_from([1e16, 1.0, 0.5, 3.0, 0.0])
+                  | st.floats(0.0, 1e17)), min_size=1, max_size=10),
+        side=st.sampled_from([-1, 0, 1]))
+    def test_no_window_is_dropped_that_the_stage_passes(self, stumps, side):
+        img = gray(np.arange(576).reshape(24, 24) % 251)
+        ii = integral_image(img)
+        total = 0.0
+        for votes, alpha in stumps:
+            total += alpha if votes else 0.0
+        threshold = np.nextafter(total, side * math.inf) if side else total
+        stage = Stage(tuple((ALWAYS if votes else NEVER, alpha)
+                            for votes, alpha in stumps), float(threshold))
+        assert passes(ii, Cascade(24, 24, (stage,)), (0, 0), 1.0) is \
+            bool(total >= threshold)
+
+
+class TestPlanCache:
+    def test_a_plan_over_the_cap_finds_the_same_boxes(self, face_cascade,
+                                                      monkeypatch):
+        frames = [rec.image for rec in generate(SyntheticSpec(
+            n_frames=6, fraction_fatigued=0.5, seed=57))]
+        detector._scan_plan.cache_clear()
+        kept = [detect(img, face_cascade) for img in frames]
+        assert all(kept)
+        plan = detector._scan_plan(face_cascade, 160, 160, 1.25, 0.08)
+        assert len(plan.slices) == 1 and plan.slices[0][1] is not None
+        # over the cap, and in several slices, each built on its own
+        monkeypatch.setattr(detector, "_PLAN_CACHE_BYTES", 0)
+        monkeypatch.setattr(detector, "_GATHER_BUDGET", 100_000)
+        detector._scan_plan.cache_clear()
+        assert [detect(img, face_cascade) for img in frames] == kept
+        plan = detector._scan_plan(face_cascade, 160, 160, 1.25, 0.08)
+        assert len(plan.slices) > 1
+        assert all(tables is None for _, tables in plan.slices)
+        detector._scan_plan.cache_clear()
 
 
 class TestCascadeCodec:

@@ -285,6 +285,14 @@ class TestResize:
         # 78 and 79; at equal sizes the upper neighbour is read at weight 0
         assert resize_block(box_side, box_side, 100, 100, region) == block
 
+    def test_axes_are_cached_read_only(self):
+        axes = imaging._resize_axis(100, 88, 10, 90)
+        assert imaging._resize_axis(100, 88, 10, 90) is axes
+        for a in axes:
+            assert not a.flags.writeable
+        lo, hi, frac = axes
+        assert lo[0] == 8 and hi[-1] == 79 and frac[0] == pytest.approx(0.74)
+
     def test_region_outside_result(self):
         with pytest.raises(OutOfBounds):
             resize_bilinear(gray_image(np.zeros((4, 4))), 6, 6,
@@ -325,6 +333,29 @@ class TestIntegralImage:
                 expect_sq[i, j] = int((pixels[:i, :j].astype(np.int64) ** 2).sum())
         assert np.array_equal(ii.sums, expect)
         assert np.array_equal(ii.squares, expect_sq)
+
+    @pytest.mark.parametrize("height, width, dtype", [
+        (25, 1321, np.int32), (2, 16_513, np.int64), (1321, 25, np.int32),
+        (16_513, 2, np.int64)])
+    def test_table_type_at_the_int32_edge(self, height, width, dtype):
+        # a white frame's squares reach 65,025 * n: below 2**31 at
+        # n = 33,025, above it at 33,026
+        n = height * width
+        assert (65_025 * n < 2 ** 31) is (dtype is np.int32)
+        ii = integral_image(gray_image(np.full((height, width), 255)))
+        assert ii.sums.dtype == ii.squares.dtype == dtype
+        assert int(ii.sums[-1, -1]) == 255 * n
+        assert int(ii.squares[-1, -1]) == 65_025 * n
+        assert int(ii.squares[-1, -2]) == 65_025 * height * (width - 1)
+
+    def test_stack_tables_are_int32_per_window(self, rng):
+        stack = rng.integers(0, 256, size=(24, 24, 300)).astype(np.uint8)
+        tables = imaging.summed_areas(stack)
+        assert tables.dtype == np.int32
+        for i in (0, 157, 299):
+            ii = integral_image(gray_image(stack[:, :, i]))
+            assert np.array_equal(tables[0, :, :, i], ii.sums)
+            assert np.array_equal(tables[1, :, :, i], ii.squares)
 
 
 class TestRectSum:
