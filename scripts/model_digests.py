@@ -8,9 +8,10 @@ detector end to end:
 `detect-train --n-frames 60 --stage-rounds 3,8 --feature-step 3 --seed 7`,
 `train --seed 7 --detector` with that cascade on the same set, and
 `simulate` with the resulting PIPE1. Last it prints the sha256 of the
-training feature values: `feature_value_matrix` over the windows that
-`detect-train --n-frames 60 --seed 7` trains on and `feature_grid(24, 24,
-3)`, and then the trace of `simulate --sample-period 0.1 --alarm-duration 1
+training feature values: the values that `train_stage`'s block scorer
+gives the windows `detect-train --n-frames 60 --seed 7` trains on and
+`feature_grid(24, 24, 3)`, as an (n windows, F features) array, and then
+the trace of `simulate --sample-period 0.1 --alarm-duration 1
 --t-low 3` with the first PIPE1, which pins the alert timing off period 1,
 and the PIPE1 and trace of `train --seed 7` and `simulate` on a 60-frame
 `--light dim` set (seed 101), whose frames take the contrast enhancement
@@ -59,7 +60,7 @@ if Path(fatiguedet.__file__).resolve().parent != SRC / "fatiguedet":
 
 from fatiguedet.cli import main as cli_main  # noqa: E402
 from fatiguedet.detector import (  # noqa: E402
-    feature_grid, feature_value_matrix)
+    _CHUNK, _stack_scorer, feature_grid)
 from fatiguedet.synth import (  # noqa: E402
     SyntheticSpec, detector_windows, generate, write_dataset)
 
@@ -84,9 +85,13 @@ def feature_values_digest() -> str:
     records = generate(SyntheticSpec(n_frames=60, fraction_fatigued=0.5,
                                      seed=7))
     pos, neg = detector_windows(records, seed=8)
-    values = feature_value_matrix(np.concatenate([pos, neg]),
-                                  feature_grid(24, 24, 3))
-    return hashlib.sha256(values.tobytes()).hexdigest()
+    score = _stack_scorer(np.concatenate([pos, neg]))
+    pool = feature_grid(24, 24, 3)
+    values = np.empty((len(pool), len(pos) + len(neg)))
+    for lo in range(0, len(pool), _CHUNK):
+        values[lo:lo + _CHUNK] = score(pool[lo:lo + _CHUNK])
+    # the bytes of the (n, F) layout, one row per window
+    return hashlib.sha256(values.T.tobytes()).hexdigest()
 
 
 def main() -> int:

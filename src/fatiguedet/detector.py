@@ -77,18 +77,6 @@ class HaarFeature:
             raise ValueError(f"{self.kind} needs width divisible by {cols} "
                              f"and height by {rows}")
 
-    def sub_rects(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """(x1, y1, x2, y2, weight) of the kind's cells, row by row;
-        weighted areas sum to 0."""
-        cols, rows, weights = _KIND_CELLS[self.kind]
-        r = self.rect
-        cw, ch = r.w // cols, r.h // rows
-        cells = []
-        for k, wgt in enumerate(weights):
-            x, y = r.x + k % cols * cw, r.y + k // cols * ch
-            cells.append((x, y, x + cw, y + ch, wgt))
-        return tuple(cells)
-
 
 @dataclass(frozen=True)
 class WeakClassifier:
@@ -297,15 +285,6 @@ _EPS_CLAMP = 1e-10
 _CHUNK = 64  # features per scored, presorted and searched block
 
 
-def _presort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_presort_rows of the feature columns of values (n samples x F
-    features), one block of columns at a time."""
-    n, nf = values.shape
-    rows = values.T
-    return _presort_rows((rows[lo:lo + _CHUNK] for lo in range(0, nf, _CHUNK)),
-                         n, nf)
-
-
 def _presort_rows(blocks, n: int, nf: int) -> tuple[np.ndarray, np.ndarray]:
     """The stable ascending order of each of nf rows of n values, given as
     blocks of rows, one row per feature (int16 when n <= 32,768, else
@@ -396,10 +375,11 @@ def _best_feature_errors(order: np.ndarray, tied: np.ndarray,
 
 def _best_stump(values: np.ndarray, order: np.ndarray, tied: np.ndarray,
                 labels: np.ndarray, weights: np.ndarray) -> StumpFit:
-    """Best stump on one feature's values, presorted order and tied mask:
-    the first minimum over the candidates in split order, polarity +1
-    before -1 at each split. Its error is the feature's entry in
-    _best_feature_errors."""
+    """Best stump on one feature's values, presorted order and tied mask.
+    The candidate thresholds are the midpoints between consecutive
+    distinct values and the -inf and +inf sentinels; the first minimum in
+    split order wins, polarity +1 before -1 at each split. Its error is
+    the feature's entry in _best_feature_errors."""
     n = len(order)
     err_p, total = _split_errors(order[None], _split_weights(labels, weights),
                                  np.zeros((1, n + 1), dtype=np.complex128))
@@ -409,28 +389,6 @@ def _best_stump(values: np.ndarray, order: np.ndarray, tied: np.ndarray,
     v = np.concatenate([[-math.inf], values[order], [math.inf]])
     threshold = float(v[split] + v[split + 1]) / 2.0
     return StumpFit(threshold, -1 if minus else 1, float(err[split, minus]))
-
-
-def train_weak(values: np.ndarray, labels: np.ndarray,
-               weights: np.ndarray) -> StumpFit:
-    """Best decision stump by weighted error: the one-column case of the
-    presorted search that boost runs.
-
-    Candidate thresholds are midpoints between consecutive distinct values
-    plus -inf/+inf sentinels. Ties prefer the smallest threshold, then
-    polarity +1.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels)
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(values) == 0:
-        raise EmptyInput("no samples")
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
-    if not np.all(np.isin(labels, (1, -1))):
-        raise ValueError("labels must be +1 or -1")
-    order, tied = _presort(values[:, None])
-    return _best_stump(values, order[0], tied[0], labels, weights)
 
 
 def _boost_rounds(order: np.ndarray, tied: np.ndarray, labels: np.ndarray,
@@ -458,26 +416,6 @@ def _boost_rounds(order: np.ndarray, tied: np.ndarray, labels: np.ndarray,
                                  fit.error))
         columns.append(values)
     return BoostResult(picked, w), np.stack(columns, axis=1)
-
-
-def boost(values: np.ndarray, labels: np.ndarray,
-          rounds: int) -> BoostResult:
-    """Discrete AdaBoost (see _boost_rounds) over a feature-value matrix
-    (n samples x F features). The presort reads one row of values.T per
-    feature, so it runs fastest on the transpose of a C-ordered (F, n)
-    array, as feature_value_matrix returns.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels)
-    n, nf = values.shape
-    if n == 0:
-        raise EmptyInput("no samples")
-    if nf == 0:
-        raise NoFeatures("empty feature pool")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    order, tied = _presort(values)
-    return _boost_rounds(order, tied, labels, rounds, values.T.__getitem__)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +451,6 @@ def _stack_scorer(windows: np.ndarray):
         table = _feature_table(features, 1.0, stride)
         return _feature_values(_rect_sums(sums[table.offsets]), table, div)
     return score
-
-
-def feature_value_matrix(windows: np.ndarray,
-                         features: Sequence[HaarFeature]) -> np.ndarray:
-    """Variance-normalized feature values of an (n, h, w) stack of windows,
-    shape (n windows, n features): the transpose of a C-ordered array with
-    one row per feature, which is the layout boost reads."""
-    score = _stack_scorer(windows)
-    out = np.empty((len(features), len(windows)))
-    for lo in range(0, len(features), _CHUNK):
-        out[lo:lo + _CHUNK] = score(features[lo:lo + _CHUNK])
-    return out.T
 
 
 def _add_votes(total: np.ndarray, stage: Stage, lo: int,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,6 +328,16 @@ def rect_sum(ii: IntegralImage, rect: Rect) -> int:
 # ---------------------------------------------------------------------------
 # Preprocessing chain
 
+def _check_sigma(name: str, sigma: float) -> None:
+    """Refuse a bilateral sigma unless 2 sigma^2 is a normal float. Below
+    that 1 / (2 sigma^2) is infinite, so the center weight exp(-0 * inf)
+    is NaN (or the division fails); above it 2 sigma^2 is infinite."""
+    if not (sigma > 0
+            and sys.float_info.min <= 2.0 * sigma * sigma < math.inf):
+        raise ValueError(f"{name} must be from about 1.1e-154 to 9.4e153, "
+                         f"so that 2 sigma^2 is a normal float")
+
+
 def denoise(img: Image, spatial_sigma: float = 1.5,
             range_sigma: float = 30.0, region: Rect | None = None) -> Image:
     """Edge-preserving bilateral smoothing over a 5x5 neighborhood.
@@ -343,8 +354,8 @@ def denoise(img: Image, spatial_sigma: float = 1.5,
     """
     if img.channels != GRAY:
         raise ValueError("denoise expects a grayscale image")
-    if spatial_sigma <= 0 or range_sigma <= 0:
-        raise ValueError("sigmas must be positive")
+    _check_sigma("spatial_sigma", spatial_sigma)
+    _check_sigma("range_sigma", range_sigma)
     region = _inside(region, img.width, img.height)
     # the edge padding is the border clamp
     levels = np.pad(img.pixels, 2, mode="edge")[
@@ -471,9 +482,8 @@ class PreprocessConfig:
             raise ValueError(f"bad low_light mode {self.low_light!r}")
         if math.isnan(self.low_light_threshold):
             raise ValueError("low_light_threshold must be a number")
-        if not (0 < self.denoise_spatial_sigma < math.inf
-                and 0 < self.denoise_range_sigma < math.inf):
-            raise ValueError("denoise sigmas must be positive and finite")
+        _check_sigma("denoise_spatial_sigma", self.denoise_spatial_sigma)
+        _check_sigma("denoise_range_sigma", self.denoise_range_sigma)
         if self.clahe_tiles < 1:
             raise ValueError("clahe_tiles must be >= 1")
         if not self.clahe_clip_limit >= 1.0:  # inf: no clipping

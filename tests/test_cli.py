@@ -297,9 +297,14 @@ class TestExitCodes:
         ("svm_max_passes = 0", "svm_max_passes must be >= 1"),
         ("water_spray = maybe", "expected on/off"),
         ("eye_window = 10 20 80", "expected 'x y w h'"),
-        ("svm_gamma = nan", "gamma must be positive and finite")],
+        ("svm_gamma = nan", "gamma must be positive and finite"),
+        ("denoise_spatial_sigma = 1e-200", "denoise_spatial_sigma must be"),
+        ("denoise_spatial_sigma = 1e-160", "denoise_spatial_sigma must be"),
+        ("denoise_range_sigma = 1e-200", "denoise_range_sigma must be"),
+        ("denoise_range_sigma = 1e-160", "denoise_range_sigma must be")],
         ids=["no-face-policy", "svm-max-passes", "bool", "rect",
-             "svm-gamma-nan"])
+             "svm-gamma-nan", "spatial-sigma-zero", "spatial-sigma-subnormal",
+             "range-sigma-zero", "range-sigma-subnormal"])
     def test_refused_config_line_is_data_error(self, workdir, tmp_path,
                                                line, message, capsys):
         cfg = tmp_path / "pipeline.cfg"

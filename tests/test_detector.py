@@ -18,17 +18,14 @@ from fatiguedet.detector import (
     StumpFit,
     WeakClassifier,
     _group_rects,
-    boost,
     detect,
     feature_grid,
-    feature_value_matrix,
     load_cascade,
     save_cascade,
     stage_scores,
     stump_predict,
     train_cascade,
     train_stage,
-    train_weak,
 )
 from fatiguedet.errors import (
     EmptyInput,
@@ -68,6 +65,58 @@ def any_feature(kind, x, y, w, h):
     return HaarFeature(kind, Rect(x, y, max(w, 6), max(h, 6)))
 
 
+def sub_rects(feature):
+    """(x1, y1, x2, y2, weight) of the cells of feature's kind, row by row;
+    weighted areas sum to 0."""
+    cols, rows, weights = detector._KIND_CELLS[feature.kind]
+    r = feature.rect
+    cw, ch = r.w // cols, r.h // rows
+    cells = []
+    for k, wgt in enumerate(weights):
+        x, y = r.x + k % cols * cw, r.y + k // cols * ch
+        cells.append((x, y, x + cw, y + ch, wgt))
+    return tuple(cells)
+
+
+# train_stage's search rebuilt over a whole (n samples, F features) value
+# matrix from its parts: the block scorer, the presort, the stump search
+# and the boosting rounds. Stage training never holds such a matrix.
+
+def feature_value_matrix(windows, features):
+    """The block scorer of an (n, h, w) window stack looped over features:
+    the (n, F) values, the transpose of a C-ordered array with one row per
+    feature."""
+    score = detector._stack_scorer(windows)
+    chunk = detector._CHUNK
+    out = np.empty((len(features), len(windows)))
+    for lo in range(0, len(features), chunk):
+        out[lo:lo + chunk] = score(features[lo:lo + chunk])
+    return out.T
+
+
+def presort(values):
+    """_presort_rows of the feature columns of an (n, F) matrix, fed as
+    train_stage feeds it: blocks of _CHUNK rows, one row per feature."""
+    n, nf = values.shape
+    rows, chunk = values.T, detector._CHUNK
+    return detector._presort_rows(
+        (rows[lo:lo + chunk] for lo in range(0, nf, chunk)), n, nf)
+
+
+def train_weak(values, labels, weights):
+    """The best stump on one feature's values."""
+    values = np.asarray(values, dtype=np.float64)
+    order, tied = presort(values[:, None])
+    return detector._best_stump(values, order[0], tied[0], labels, weights)
+
+
+def boost(values, labels, rounds):
+    """The boosting rounds over an (n, F) value matrix."""
+    values = np.asarray(values, dtype=np.float64)
+    return detector._boost_rounds(*presort(values), labels, rounds,
+                                  values.T.__getitem__)[0]
+
+
 # Scalar reference for the cascade scorer, one window at a time: its own
 # corner gathering, area renormalization and window divisor, in the same
 # floating-point operations as the vectorized scorer, so the two agree bit
@@ -88,7 +137,7 @@ def eval_feature(ii, feature, origin, scale, base_w=24, base_h=24):
         - mean * mean
     div = (scale * scale) * max(math.sqrt(max(var, 0.0)), 1.0)
     raw = None
-    for x1, y1, x2, y2, wgt in feature.sub_rects():
+    for x1, y1, x2, y2, wgt in sub_rects(feature):
         sx1, sy1, sx2, sy2 = (iround(c * scale) for c in (x1, y1, x2, y2))
         actual = float((sx2 - sx1) * (sy2 - sy1))
         ideal = (x2 - x1) * (y2 - y1) * scale * scale
@@ -200,7 +249,7 @@ class TestHaarFeature:
 
     def test_sub_rects_golden(self):
         rect = Rect(2, 3, 12, 6)
-        assert {kind: HaarFeature(kind, rect).sub_rects()
+        assert {kind: sub_rects(HaarFeature(kind, rect))
                 for kind in KINDS} == {
             "2H": ((2, 3, 8, 9, 1), (8, 3, 14, 9, -1)),
             "2V": ((2, 3, 14, 6, 1), (2, 6, 14, 9, -1)),
@@ -231,7 +280,7 @@ class TestHaarFeature:
     def test_weighted_areas_cancel(self, kind):
         feat = any_feature(kind, 2, 4, 12, 12)
         total = sum(w * (x2 - x1) * (y2 - y1)
-                    for x1, y1, x2, y2, w in feat.sub_rects())
+                    for x1, y1, x2, y2, w in sub_rects(feat))
         assert total == 0
 
     @pytest.mark.parametrize("kind", ["2H", "2V", "3H", "3V", "4"])
@@ -298,7 +347,7 @@ class TestEvalFeature:
             got = eval_feature(ii, feat, (5, 7), 1.0)
             assert feature_value_matrix(crop, [feat])[0, 0] == got
             raw = 0.0
-            for x1, y1, x2, y2, w in feat.sub_rects():
+            for x1, y1, x2, y2, w in sub_rects(feat):
                 for yy in range(7 + y1, 7 + y2):
                     for xx in range(5 + x1, 5 + x2):
                         raw += w * float(pixels[yy, xx])
@@ -367,14 +416,10 @@ class TestTrainWeak:
         _, _, best_err = oracle_best_stump(values, labels, weights)
         assert fit.error <= best_err + 1e-12
 
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            train_weak(np.array([]), np.array([]), np.array([]))
-
 
 # Reference stump search: argsorts every column in every round. Kept word
-# for word as it stood before boost presorted its columns; boost must pick
-# exactly the rounds this search picks.
+# for word as it stood before boosting presorted its columns; the presorted
+# rounds must pick exactly the rounds this search picks.
 _CHUNK = 4096
 
 
@@ -428,7 +473,7 @@ def argsort_boost(values, labels, rounds):
 
 
 def order_type(n):
-    """_presort's index type: int16 holds every index of n <= 32,768
+    """_presort_rows's index type: int16 holds every index of n <= 32,768
     samples, int32 the rest."""
     return np.int16 if n <= 32_768 else np.int32
 
@@ -448,7 +493,7 @@ def reference_table(features, scale, stride):
     have them)."""
     cells = [[], [], [], []]
     for feature in features:
-        for k, (x1, y1, x2, y2, wgt) in enumerate(feature.sub_rects()):
+        for k, (x1, y1, x2, y2, wgt) in enumerate(sub_rects(feature)):
             sx1, sy1, sx2, sy2 = (iround(c * scale) for c in (x1, y1, x2, y2))
             actual = (sx2 - sx1) * (sy2 - sy1)
             if actual <= 0:
@@ -463,9 +508,9 @@ def reference_table(features, scale, stride):
             "actual": np.array([[r[4]] for r in rows]),
             "coeff": np.array([[r[5]] for r in rows]),
             "third": np.array([i for i, f in enumerate(features)
-                               if len(f.sub_rects()) > 2], dtype=np.intp),
+                               if len(sub_rects(f)) > 2], dtype=np.intp),
             "fourth": np.array([i for i, f in enumerate(features)
-                                if len(f.sub_rects()) > 3], dtype=np.intp)}
+                                if len(sub_rects(f)) > 3], dtype=np.intp)}
 
 
 class TestFeatureTable:
@@ -565,7 +610,7 @@ class TestBoost:
             labels = rng.choice([1, -1], size=n)
             w = rng.random(n)
             w /= w.sum()
-            order, tied = detector._presort(values)
+            order, tied = presort(values)
             assert order.dtype == order_type(n)
             assert np.array_equal(
                 detector._best_feature_errors(order, tied, labels, w),
@@ -584,7 +629,7 @@ class TestBoost:
         values = rng.choice(np.array(pool), size=(n, nf))
         constant = rng.random(nf) < 0.2
         values[:, constant] = values[0, constant]
-        order, tied = detector._presort(values)
+        order, tied = presort(values)
         stable = np.argsort(values, axis=0, kind="stable")
         v = np.take_along_axis(values, stable, axis=0)
         assert order.dtype == order_type(n)
@@ -598,7 +643,7 @@ class TestBoost:
         # int32 range, so the tie keys must be int64
         n = 100_000
         values = rng.integers(0, n, size=(n, 1)).astype(np.float64)
-        order, _ = detector._presort(values)
+        order, _ = presort(values)
         assert np.array_equal(order[0], np.argsort(values[:, 0],
                                                    kind="stable"))
 
@@ -607,7 +652,7 @@ class TestBoost:
         # the last index, n - 1, is the int16 maximum at n = 32,768
         values = tied_matrix(rng, n, 3)
         labels = rng.choice([1, -1], size=n)
-        order, _ = detector._presort(values)
+        order, _ = presort(values)
         assert order.dtype == order_type(n)
         assert np.array_equal(order, np.argsort(values, axis=0,
                                                 kind="stable").T)
@@ -624,7 +669,7 @@ class TestBoost:
             labels = rng.choice([1, -1], size=n)
             w = rng.random(n) ** 8  # weights over many binades
             w /= w.sum()
-            order, _ = detector._presort(values)
+            order, _ = presort(values)
             err_p, total = detector._split_errors(
                 order, detector._split_weights(labels, w),
                 np.zeros((nf, n + 1), dtype=np.complex128))
@@ -689,6 +734,15 @@ class TestTrainStage:
                         rounds=1, target_detection_rate=0.995,
                         features=feature_grid(24, 24, 4))
 
+    def test_empty_input(self, rng):
+        # no negatives, and no windows at all
+        pool = feature_grid(24, 24, 4)
+        for n_pos in (2, 0):
+            with pytest.raises(EmptyInput):
+                train_stage(toy_windows(rng, n_pos, True),
+                            toy_windows(rng, 0, False), rounds=1,
+                            target_detection_rate=0.995, features=pool)
+
     def test_negative_scores_match_their_own_values(self, rng):
         neg = toy_windows(rng, 40, False)
         stage, scores = train_stage(toy_windows(rng, 30, True), neg,
@@ -735,8 +789,8 @@ class TestTrainStage:
         assert calls == []
 
     def test_matches_the_matrix_reference(self, rng):
-        # the stage boost would train on the whole value matrix, on a pool
-        # whose last block is partial
+        # the stage that boosting over the whole value matrix trains, on a
+        # pool whose last block is partial
         pool = feature_grid(24, 24, 4)[:150]
         assert len(pool) % detector._CHUNK
         pos, neg = toy_windows(rng, 25, True), toy_windows(rng, 35, False)

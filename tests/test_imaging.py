@@ -466,6 +466,22 @@ class TestDenoise:
         assert oracle < 255.0
         assert out.pixels[3, 3] == int(math.floor(oracle + 0.5))
 
+    @pytest.mark.parametrize("ss, rs", [(1e-150, 30.0), (1.5, 1e-150)])
+    def test_tiny_sigma_returns_its_input(self, rng, ss, rs):
+        # only the center, or only equal neighbors, keep a nonzero weight
+        img = gray_image(rng.integers(0, 256, size=(9, 8)))
+        assert denoise(img, ss, rs) == img
+
+    @pytest.mark.parametrize("ss, rs", [
+        (1e-160, 30.0), (1e-200, 30.0), (1.5, 1e-160), (1.5, 1e-200),
+        (0.0, 30.0), (-1.5, 30.0), (1.5, math.nan), (1e200, 30.0),
+        (1.5, math.inf)])
+    def test_sigma_outside_the_normal_range_is_refused(self, ss, rs):
+        # below about 1e-154, 1 / (2 sigma^2) is infinite and the center
+        # weight exp(-0 * inf) NaN
+        with pytest.raises(ValueError, match="2 sigma\\^2 is a normal"):
+            denoise(gray_image(np.zeros((4, 4))), ss, rs)
+
     def test_impulse_wide_range_sigma_decreases(self):
         # with range_sigma=200 neighbors carry real weight and the rounded
         # center drops well below 255

@@ -337,6 +337,7 @@ class TestConfig:
         "high_persist = nan", "high_persist = inf", "pca_variance = nan",
         "pca_variance = 0", "pca_variance = 1.5",
         "low_light_threshold = nan", "denoise_spatial_sigma = 0",
+        "denoise_spatial_sigma = 1e-160", "denoise_range_sigma = 1e-200",
         "denoise_range_sigma = nan", "denoise_range_sigma = inf",
         "clahe_tiles = 0", "clahe_clip_limit = 0.5",
         "clahe_clip_limit = nan", "svm_c = inf", "svm_c = 1e999",
