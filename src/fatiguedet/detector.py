@@ -342,7 +342,7 @@ def _split_errors(order: np.ndarray, weights: np.ndarray,
     one complex cumsum gives the running positive and negative weight at
     once, each part added on its own, so both keep the bits of a float64
     cumsum. out is complex scratch with n + 1 columns, the first zero."""
-    np.cumsum(weights[order], axis=1, out=out[:, 1:])
+    np.cumsum(weights.take(order), axis=1, out=out[:, 1:])
     cpos, cneg = out.real, out.imag
     total_neg = cneg[:, -1:]
     return cpos + (total_neg - cneg), cpos[:, -1] + total_neg[:, 0]

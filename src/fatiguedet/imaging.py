@@ -5,6 +5,11 @@ built in one pass. The resize and every step of the chain take an optional
 region and return exactly the crop of their whole-image result to that
 region, reading only the pixels that crop depends on.
 
+The bilateral filter gathers each offset's weight w and product w * n
+from one fused complex table into one complex accumulator; a complex add
+adds its two parts on their own, so every byte equals that of the two
+float sums the filter's formula runs offset by offset (see denoise).
+
 All operations are pure; Image values are immutable after construction.
 """
 
@@ -247,11 +252,14 @@ def resize_bilinear(img: Image, new_w: int, new_h: int,
     region = _inside(region, new_w, new_h)
     x0, x1, fx = _resize_axis(new_w, img.width, region.x, region.x2)
     y0, y1, fy = _resize_axis(new_h, img.height, region.y, region.y2)
-    src = img.pixels
-    y0, y1, fy = y0[:, None], y1[:, None], fy[:, None]
-    top = src[y0, x0] * (1 - fx) + src[y0, x1] * fx
-    bot = src[y1, x0] * (1 - fx) + src[y1, x1] * fx
-    return Image.from_float(top * (1 - fy) + bot * fy)
+    # blend each source row the region reads across x once, then blend
+    # those rows: every pixel gets the same products and sums as blending
+    # its four source pixels directly
+    src = img.pixels[y0[0]:y1[-1] + 1]
+    rows = src[:, x0] * (1 - fx) + src[:, x1] * fx
+    fy = fy[:, None]
+    return Image.from_float(rows[y0 - y0[0]] * (1 - fy)
+                            + rows[y1 - y0[0]] * fy)
 
 
 def crop(img: Image, rect: Rect) -> Image:
@@ -338,15 +346,47 @@ def _check_sigma(name: str, sigma: float) -> None:
                          f"so that 2 sigma^2 is a normal float")
 
 
+@functools.lru_cache(maxsize=1)
+def _bilateral_tables(spatial_sigma: float,
+                      range_sigma: float) -> dict[int, np.ndarray]:
+    """denoise's fused weight tables for one sigma pair, one per squared
+    offset distance r2: entry c * 256 + n is w * n + 1j * w, where the
+    float product w = math.exp(-r2 * inv2ss) * range_weight[|c - n|]
+    weighs a neighbour of level n around a center of level c. Five
+    read-only tables of 65,536 complex128 (5 MiB); only the last sigma
+    pair's are kept."""
+    inv2ss = 1.0 / (2.0 * spatial_sigma * spatial_sigma)
+    inv2rs = 1.0 / (2.0 * range_sigma * range_sigma)
+    d = np.arange(256, dtype=np.float64)
+    range_weight = np.exp(-(d * d) * inv2rs)
+    level = np.arange(256, dtype=np.int16)
+    distance = np.abs(level[:, None] - level)  # row c, column n
+    tables = {}
+    for r2 in (1, 2, 4, 5, 8):  # every offset's but the center's
+        w = (math.exp(-r2 * inv2ss) * range_weight).take(distance)
+        table = np.empty((256, 256), dtype=np.complex128)
+        np.multiply(w, level, out=table.real)
+        table.imag = w
+        table.setflags(write=False)
+        tables[r2] = table.ravel()
+    return tables
+
+
 def denoise(img: Image, spatial_sigma: float = 1.5,
             range_sigma: float = 30.0, region: Rect | None = None) -> Image:
     """Edge-preserving bilateral smoothing over a 5x5 neighborhood.
 
     Each output pixel is the weighted mean of its neighborhood, with weight
     exp(-d^2 / (2 ss^2)) * exp(-(I(p)-I(q))^2 / (2 rs^2)); borders are
-    clamp-replicated. Output is rounded half up. The range weight depends
-    only on |I(p)-I(q)| in 0..255, so each offset reads its weights from a
-    256-entry table holding the same float products.
+    clamp-replicated. Output is rounded half up.
+
+    A weight depends only on d^2 and the two levels, so each offset makes
+    one gather from the _bilateral_tables entry of its d^2, keyed by
+    center * 256 + neighbour, into one complex accumulator: the weighted
+    sum in the real part, the weight sum in the imaginary part. A complex
+    add adds each part on its own, so both sums get the bits of two float
+    sums run over the offsets in the same order. The center's weight is
+    exactly 1.0, so it adds c + 1j.
 
     With a region the result is crop(denoise(img, ...), region), read from
     the region grown by the filter's 2-pixel reach alone. No region is the
@@ -357,42 +397,59 @@ def denoise(img: Image, spatial_sigma: float = 1.5,
     _check_sigma("spatial_sigma", spatial_sigma)
     _check_sigma("range_sigma", range_sigma)
     region = _inside(region, img.width, img.height)
-    # the edge padding is the border clamp
-    levels = np.pad(img.pixels, 2, mode="edge")[
-        region.y:region.y2 + 4, region.x:region.x2 + 4].astype(np.int16)
+    tables = _bilateral_tables(spatial_sigma, range_sigma)
+    # the region grown by 2, with clamped indices as the border clamp
+    rows = np.arange(region.y - 2, region.y2 + 2)
+    cols = np.arange(region.x - 2, region.x2 + 2)
+    levels = img.pixels.take(rows, axis=0, mode="clip").take(
+        cols, axis=1, mode="clip").astype(np.uint16)
     h, w = region.h, region.w
     center = levels[2:2 + h, 2:2 + w]
-    num = np.zeros((h, w))
-    den = np.zeros((h, w))
-    inv2ss = 1.0 / (2.0 * spatial_sigma * spatial_sigma)
-    inv2rs = 1.0 / (2.0 * range_sigma * range_sigma)
-    d = np.arange(256, dtype=np.float64)
-    range_weight = np.exp(-(d * d) * inv2rs)
+    base = center << 8
+    key = np.empty((h, w), dtype=np.uint16)
+    gathered = np.empty((h, w), dtype=np.complex128)
+    acc = np.zeros((h, w), dtype=np.complex128)
     for dy in range(-2, 3):
         for dx in range(-2, 3):
-            table = math.exp(-(dy * dy + dx * dx) * inv2ss) * range_weight
-            q = np.s_[2 + dy:2 + dy + h, 2 + dx:2 + dx + w]
-            wgt = table.take(np.abs(center - levels[q]))
-            num += wgt * levels[q]
-            den += wgt
-    return Image.from_float(num / den)
+            if dy == dx == 0:
+                acc += center + 1j
+                continue
+            np.add(base, levels[2 + dy:2 + dy + h, 2 + dx:2 + dx + w],
+                   out=key)
+            # every uint16 key is in range, so "wrap" moves none; unlike
+            # "raise" it lets take fill out without a buffer
+            tables[dy * dy + dx * dx].take(key, out=gathered, mode="wrap")
+            acc += gathered
+    return Image.from_float(acc.real / acc.imag)
+
+
+@functools.lru_cache(maxsize=64)
+def _tile_axis(size: int, tiles: int):
+    """_axis_tiles over the whole axis, cached by its two ints; the arrays
+    are read-only."""
+    n = min(tiles, size)
+    edges = np.arange(n + 1) * size // n
+    centers = (edges[:-1] + edges[1:] - 1) / 2.0
+    coords = np.arange(size, dtype=np.float64)
+    i0 = np.clip(np.searchsorted(centers, coords, side="right") - 1, 0, n - 1)
+    i1 = np.minimum(i0 + 1, n - 1)
+    span = centers[i1] - centers[i0]
+    frac = np.where(span > 0, (coords - centers[i0]) / np.where(
+        span > 0, span, 1.0), 0.0)
+    axis = edges, i0, i1, np.clip(frac, 0.0, 1.0)
+    for a in axis:
+        a.setflags(write=False)
+    return axis
 
 
 def _axis_tiles(size: int, tiles: int, start: int, stop: int):
     """One axis of CLAHE over `size` pixels cut into n = min(tiles, size)
     tiles: the n + 1 tile edges, then for each coordinate in start..stop-1
     the lower and upper tile it interpolates from (the tile centers on
-    either side, clamped at the ends) and the upper tile's weight."""
-    n = min(tiles, size)
-    edges = np.arange(n + 1) * size // n
-    centers = (edges[:-1] + edges[1:] - 1) / 2.0
-    coords = np.arange(start, stop, dtype=np.float64)
-    i0 = np.clip(np.searchsorted(centers, coords, side="right") - 1, 0, n - 1)
-    i1 = np.minimum(i0 + 1, n - 1)
-    span = centers[i1] - centers[i0]
-    frac = np.where(span > 0, (coords - centers[i0]) / np.where(
-        span > 0, span, 1.0), 0.0)
-    return edges, i0, i1, np.clip(frac, 0.0, 1.0)
+    either side, clamped at the ends) and the upper tile's weight. The
+    arrays are read-only."""
+    edges, i0, i1, frac = _tile_axis(size, tiles)
+    return edges, i0[start:stop], i1[start:stop], frac[start:stop]
 
 
 def clahe_block(width: int, height: int, tiles: int, region: Rect) -> Rect:
@@ -435,30 +492,34 @@ def enhance_contrast(img: Image, tiles: int = 8, clip_limit: float = 2.0,
     ta, tb, sa, sb = i0[0], i1[-1] + 1, j0[0], j1[-1] + 1
     ty, tx = tb - ta, sb - sa
     block = img.pixels[rows[ta]:rows[tb], cols[sa]:cols[sb]]
-    # every tile's histogram from one bincount of tile_id * 256 + value
-    row_tile = np.repeat(np.arange(ty), np.diff(rows[ta:tb + 1]))
-    col_tile = np.repeat(np.arange(tx), np.diff(cols[sa:sb + 1]))
-    key = (row_tile[:, None] * tx + col_tile) * 256 + block
+    # every tile's histogram from one bincount of tile_id * 256 + value,
+    # the tile id's part per row plus its part per column
+    row_part = np.repeat(np.arange(ty) * (tx * 256), np.diff(rows[ta:tb + 1]))
+    col_part = np.repeat(np.arange(tx) * 256, np.diff(cols[sa:sb + 1]))
+    key = block + row_part[:, None] + col_part
     raw = np.bincount(key.ravel(), minlength=ty * tx * 256).reshape(-1, 256)
     hist = raw.astype(np.float64)
     n = hist.sum(axis=1, keepdims=True)  # pixels per tile
     clip = clip_limit * n / 256.0  # inf leaves hist as it is
     excess = np.maximum(hist - clip, 0.0).sum(axis=1, keepdims=True)
+    # no pixel is above the block's top level, so the mappings stop there;
+    # the excess is summed over all 256 bins above, to keep its bits
+    bins = int(block.max()) + 1
+    raw, hist = raw[:, :bins], hist[:, :bins]
     hist = np.minimum(hist, clip) + excess / 256.0
     cdf = np.cumsum(hist, axis=1)
     cdf_min = np.take_along_axis(cdf, np.argmax(hist > 0, axis=1)[:, None], 1)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 when one bin
         mapped = np.clip(255.0 * (cdf - cdf_min) / (n - cdf_min), 0.0, 255.0)
     single = (np.count_nonzero(raw, axis=1) == 1)[:, None]
-    lut = np.where(single, np.arange(256.0), mapped)
+    lut = np.where(single, np.arange(bins, dtype=np.float64), mapped)
+    # lut[i, j, v] sits at (i * tx + j) * bins + v: a part per row plus a
+    # part per column
     v = img.pixels[region.y:region.y2, region.x:region.x2]
-    i0, i1, j0, j1 = i0 - ta, i1 - ta, j0 - sa, j1 - sa
-
-    def mapped_at(i, j):  # lut[i, j, v] for row tiles i and column tiles j
-        return lut.take((i[:, None] * tx + j) * 256 + v)
-
-    top = mapped_at(i0, j0) * (1 - fx) + mapped_at(i0, j1) * fx
-    bot = mapped_at(i1, j0) * (1 - fx) + mapped_at(i1, j1) * fx
+    upper, lower = (v + ((i - ta) * (tx * bins))[:, None] for i in (i0, i1))
+    left, right = ((j - sa) * bins for j in (j0, j1))
+    top = lut.take(upper + left) * (1 - fx) + lut.take(upper + right) * fx
+    bot = lut.take(lower + left) * (1 - fx) + lut.take(lower + right) * fx
     return Image.from_float(top * (1 - fy[:, None]) + bot * fy[:, None])
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fatiguedet import imaging
 from fatiguedet.errors import (
@@ -34,6 +35,18 @@ from fatiguedet.synth import SyntheticSpec, generate
 def gray_image(arr) -> Image:
     return Image.from_array(np.asarray(arr, dtype=np.uint8))
 
+
+def any_region(data, width, height):
+    """A region drawn anywhere in a width x height area, border included."""
+    x = data.draw(st.integers(0, width - 1))
+    y = data.draw(st.integers(0, height - 1))
+    return Rect(x, y, data.draw(st.integers(1, width - x)),
+                data.draw(st.integers(1, height - y)))
+
+
+# frames of 1 to 40 px a side
+frame_pixels = st.tuples(st.integers(1, 40), st.integers(1, 40)).flatmap(
+    lambda shape: arrays(np.uint8, shape))
 
 small_gray = st.integers(1, 12).flatmap(
     lambda w: st.integers(1, 12).flatmap(
@@ -215,16 +228,25 @@ class TestGrayscale:
         assert np.array_equal(to_grayscale(rgb).pixels, g)
 
 
+def four_gather_resize(pixels, new_w, new_h, region):
+    """resize_bilinear of region from its four corner gathers."""
+    x0, x1, fx = imaging._resize_axis(new_w, pixels.shape[1], region.x,
+                                      region.x2)
+    y0, y1, fy = imaging._resize_axis(new_h, pixels.shape[0], region.y,
+                                      region.y2)
+    y0, y1, fy = y0[:, None], y1[:, None], fy[:, None]
+    top = pixels[y0, x0] * (1 - fx) + pixels[y0, x1] * fx
+    bot = pixels[y1, x0] * (1 - fx) + pixels[y1, x1] * fx
+    return Image.from_float(top * (1 - fy) + bot * fy)
+
+
 class TestResize:
     @given(small_gray, st.data())
     def test_identity(self, img, data):
         # at equal sizes every pixel samples itself at weight 1, and its
         # neighbour at weight 0
         assert resize_bilinear(img, img.width, img.height) == img
-        x = data.draw(st.integers(0, img.width - 1))
-        y = data.draw(st.integers(0, img.height - 1))
-        region = Rect(x, y, data.draw(st.integers(1, img.width - x)),
-                      data.draw(st.integers(1, img.height - y)))
+        region = any_region(data, img.width, img.height)
         assert resize_bilinear(img, img.width, img.height, region) == \
             crop(img, region)
 
@@ -259,10 +281,7 @@ class TestResize:
 
     @given(small_gray, st.integers(1, 30), st.integers(1, 30), st.data())
     def test_region_reads_only_its_block(self, img, new_w, new_h, data):
-        x = data.draw(st.integers(0, new_w - 1))
-        y = data.draw(st.integers(0, new_h - 1))
-        region = Rect(x, y, data.draw(st.integers(1, new_w - x)),
-                      data.draw(st.integers(1, new_h - y)))
+        region = any_region(data, new_w, new_h)
         expect = crop(resize_bilinear(img, new_w, new_h), region)
         assert resize_bilinear(img, new_w, new_h, region) == expect
         block = resize_block(img.width, img.height, new_w, new_h, region)
@@ -297,6 +316,29 @@ class TestResize:
         with pytest.raises(OutOfBounds):
             resize_bilinear(gray_image(np.zeros((4, 4))), 6, 6,
                             Rect(3, 0, 4, 2))
+
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 100),
+                                      st.integers(1, 100))),
+           st.integers(1, 100), st.integers(1, 100), st.data())
+    def test_equals_four_gather_blend(self, pixels, new_w, new_h, data):
+        # blending rows across x first gives every pixel the arithmetic of
+        # the four-gather blend, bit for bit
+        region = any_region(data, new_w, new_h)
+        assert resize_bilinear(Image(pixels), new_w, new_h, region) == \
+            four_gather_resize(pixels, new_w, new_h, region)
+
+    @pytest.mark.parametrize("side, new_side", [(100, 24), (88, 100)])
+    @pytest.mark.parametrize("region", [
+        None, Rect(0, 0, 1, 1), Rect(3, 5, 17, 11), Rect(23, 0, 1, 24)])
+    def test_equals_four_gather_blend_at_working_sizes(self, rng, side,
+                                                       new_side, region):
+        # a window downscaled for cascade training; a face box upscaled
+        # to face_side
+        pixels = rng.integers(0, 256, size=(side, side)).astype(np.uint8)
+        region = region or Rect(0, 0, new_side, new_side)
+        assert resize_bilinear(Image(pixels), new_side, new_side,
+                               region) == \
+            four_gather_resize(pixels, new_side, new_side, region)
 
 
 def brute_rect_sum(pixels, rect):
@@ -436,7 +478,53 @@ def naive_denoise(pixels, ss, rs):
     return gray_image(out)
 
 
+def six_pass_denoise(pixels, ss, rs, region):
+    """denoise of region with separate weighted and weight sums: per
+    offset a 256-entry weight table gathered by |c - n|, then sub, abs,
+    take, mul and two adds over the padded frame."""
+    levels = np.pad(pixels, 2, mode="edge")[
+        region.y:region.y2 + 4, region.x:region.x2 + 4].astype(np.int16)
+    h, w = region.h, region.w
+    center = levels[2:2 + h, 2:2 + w]
+    num = np.zeros((h, w))
+    den = np.zeros((h, w))
+    inv2ss = 1.0 / (2.0 * ss * ss)
+    inv2rs = 1.0 / (2.0 * rs * rs)
+    d = np.arange(256, dtype=np.float64)
+    range_weight = np.exp(-(d * d) * inv2rs)
+    for dy in range(-2, 3):
+        for dx in range(-2, 3):
+            table = math.exp(-(dy * dy + dx * dx) * inv2ss) * range_weight
+            q = np.s_[2 + dy:2 + dy + h, 2 + dx:2 + dx + w]
+            wgt = table.take(np.abs(center - levels[q]))
+            num += wgt * levels[q]
+            den += wgt
+    return Image.from_float(num / den)
+
+
 class TestDenoise:
+    @given(frame_pixels, st.sampled_from([
+        (1.5, 30.0), (0.7, 5.0), (3.0, 200.0), (1e-150, 1e-150),
+        (1e150, 1e150)]), st.data())
+    def test_equals_six_pass_filter(self, pixels, sigmas, data):
+        # the fused tables keep both sums' bits, at every sigma pair that
+        # passes the check, the extremes included
+        region = any_region(data, pixels.shape[1], pixels.shape[0])
+        assert denoise(Image(pixels), *sigmas, region) == \
+            six_pass_denoise(pixels, *sigmas, region)
+
+    def test_one_sigma_pair_of_tables_is_resident(self):
+        img = gray_image(np.arange(36).reshape(6, 6))
+        denoise(img, 1.5, 30.0)
+        denoise(img, 0.7, 5.0)
+        assert imaging._bilateral_tables.cache_info().currsize == 1
+        tables = imaging._bilateral_tables(0.7, 5.0)
+        assert len(tables) == 5
+        for table in tables.values():
+            assert table.shape == (65_536,)
+            assert table.dtype == np.complex128
+            assert not table.flags.writeable
+
     @given(st.integers(0, 255), st.floats(0.5, 5.0), st.floats(1.0, 80.0))
     def test_constant_fixed_point(self, value, ss, rs):
         img = gray_image(np.full((6, 6), value))
@@ -504,15 +592,13 @@ class TestDenoise:
     @given(small_gray, st.floats(0.5, 5.0), st.floats(1.0, 150.0),
            st.data())
     def test_region_reads_only_its_reach(self, img, ss, rs, data):
-        x = data.draw(st.integers(0, img.width - 1))
-        y = data.draw(st.integers(0, img.height - 1))
-        region = Rect(x, y, data.draw(st.integers(1, img.width - x)),
-                      data.draw(st.integers(1, img.height - y)))
+        region = any_region(data, img.width, img.height)
         expect = crop(denoise(img, ss, rs), region)
         assert denoise(img, ss, rs, region) == expect
         # every pixel more than 2 away from the region changed; the result
         # not
-        reach = np.s_[max(y - 2, 0):region.y2 + 2, max(x - 2, 0):region.x2 + 2]
+        reach = np.s_[max(region.y - 2, 0):region.y2 + 2,
+                      max(region.x - 2, 0):region.x2 + 2]
         scrambled = 255 - img.pixels
         scrambled[reach] = img.pixels[reach]
         assert denoise(gray_image(scrambled), ss, rs, region) == expect
@@ -610,12 +696,9 @@ class TestEnhanceContrast:
     @given(small_gray, st.integers(1, 14),
            st.floats(1.0, 6.0) | st.just(math.inf), st.data())
     def test_region_reads_only_its_tile_block(self, img, tiles, clip, data):
-        x = data.draw(st.integers(0, img.width - 1))
-        y = data.draw(st.integers(0, img.height - 1))
-        region = Rect(x, y, data.draw(st.integers(1, img.width - x)),
-                      data.draw(st.integers(1, img.height - y)))
+        region = any_region(data, img.width, img.height)
         block = clahe_block(img.width, img.height, tiles, region)
-        assert block.x <= x and block.y <= y
+        assert block.x <= region.x and block.y <= region.y
         assert block.x2 >= region.x2 and block.y2 >= region.y2
         # every pixel outside the block changed; the region's result not
         scrambled = 255 - img.pixels
@@ -637,6 +720,28 @@ class TestEnhanceContrast:
         # before the first center a pixel's upper tile is tile 1 at weight
         # 0, and past the last both tiles are tile 7
         assert clahe_block(160, 160, tiles, region) == block
+
+    @given(st.integers(1, 400), st.integers(1, 40), st.data())
+    def test_axis_tiles_slice_the_whole_axis(self, size, tiles, data):
+        # each coordinate's tiles and weight depend on it alone, so a
+        # slice of the cached whole axis equals the axis computed over
+        # start..stop-1
+        start = data.draw(st.integers(0, size - 1))
+        stop = data.draw(st.integers(start + 1, size))
+        n = min(tiles, size)
+        edges = np.arange(n + 1) * size // n
+        centers = (edges[:-1] + edges[1:] - 1) / 2.0
+        coords = np.arange(start, stop, dtype=np.float64)
+        i0 = np.clip(np.searchsorted(centers, coords, side="right") - 1,
+                     0, n - 1)
+        i1 = np.minimum(i0 + 1, n - 1)
+        span = centers[i1] - centers[i0]
+        frac = np.clip(np.where(span > 0, (coords - centers[i0]) / np.where(
+            span > 0, span, 1.0), 0.0), 0.0, 1.0)
+        got = imaging._axis_tiles(size, tiles, start, stop)
+        for a, b in zip(got, (edges, i0, i1, frac)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable
 
     def test_region_outside_image(self):
         with pytest.raises(OutOfBounds):
