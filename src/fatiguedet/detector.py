@@ -160,8 +160,8 @@ class _FeatureTable:
 
     n: int  # features
     # at one scale offsets is (4 * rows,) and actual and coeff (rows, 1); a
-    # scan plan gives each one column per level, or per window with the
-    # window's origin added to the offsets
+    # scan plan gives each one column per level, and _at one per window,
+    # taken by the window's level, with its origin added to the offsets
     offsets: np.ndarray  # flat corners in _flat_offsets order
     actual: np.ndarray  # scaled areas
     coeff: np.ndarray  # weight * ideal area
@@ -582,17 +582,17 @@ class _Batch:
 @dataclass(frozen=True, eq=False)
 class _ScanPlan:
     """A cascade compiled for one frame size and scan. Every window of every
-    level is a column: origin holds its flat origin y * stride + x, level
-    by level and x-major within a level, and starts the first column of
-    each level. window is the window rect as a one-row table whose area is
-    its pixel count and whose coefficient is scale^2, one column per level;
-    each stage is one or two batches. slices are the column ranges scanned
-    at once, each with its divisor and first-batch tables at its windows
-    when the plan keeps them."""
+    level is a column, level by level and x-major within a level: origin
+    holds its flat origin y * stride + x and level its level. window is
+    the window rect as a one-row table whose area is its pixel count and
+    whose coefficient is scale^2, one column per level; each stage is one
+    or two batches. slices are the column ranges scanned at once, each
+    with its divisor and first-batch tables at its windows when the plan
+    keeps them."""
 
     stride: int
     origin: np.ndarray
-    starts: np.ndarray
+    level: np.ndarray  # int16: scale_factor >= 1.01 keeps levels < 2^15
     sizes: np.ndarray  # (2, levels) window width and height
     window: _FeatureTable
     stages: tuple[tuple[_Batch, ...], ...]
@@ -614,19 +614,13 @@ def _batches(stage: Stage, scales: np.ndarray,
                  for lo, hi in ((0, k), (k, m)) if lo < hi)
 
 
-def _at(table: _FeatureTable, plan: _ScanPlan,
-        cols: np.ndarray) -> _FeatureTable:
-    """table (one column per level) at the plan's windows cols, ascending:
-    one column per window, with the window's origin added to the offsets.
-    The windows of a level are a run of cols, so the offsets are added a
-    level at a time rather than gathered per window."""
-    cuts = np.searchsorted(cols, plan.starts)
-    origin = plan.origin[cols]
-    offsets = np.concatenate(
-        [table.offsets[:, level, None] + origin[a:b]
-         for level, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])) if a < b],
-        axis=1)
-    level = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+def _at(table: _FeatureTable, plan: _ScanPlan, cols) -> _FeatureTable:
+    """table (one column per level) at the plan's windows cols, a slice or
+    an index array: one column per window, with the window's origin added
+    to the offsets."""
+    level = plan.level[cols]
+    offsets = table.offsets.take(level, axis=1)
+    offsets += plan.origin[cols]  # in place: no second rows x windows array
     return _FeatureTable(table.n, offsets, table.actual.take(level, axis=1),
                          table.coeff.take(level, axis=1), table.third,
                          table.fourth)
@@ -634,8 +628,8 @@ def _at(table: _FeatureTable, plan: _ScanPlan,
 
 def _slice_tables(plan: _ScanPlan, cols: slice) -> tuple:
     """The divisor's and the first batch's tables at the windows cols."""
-    at = np.arange(cols.start, cols.stop)
-    return _at(plan.window, plan, at), _at(plan.stages[0][0].table, plan, at)
+    return tuple(_at(table, plan, cols)
+                 for table in (plan.window, plan.stages[0][0].table))
 
 
 def _compile(cascade: Cascade, stride: int, grids: list) -> _ScanPlan:
@@ -652,10 +646,11 @@ def _compile(cascade: Cascade, stride: int, grids: list) -> _ScanPlan:
                          stride).reshape(4, -1),
         (win_w * win_h)[None].astype(np.float64), (scales * scales)[None],
         np.empty(0, np.intp), np.empty(0, np.intp))
-    plan = _ScanPlan(stride, origin,
-                     np.cumsum([0] + [len(xs) * len(ys) for _, xs, ys in grids]),
-                     sizes, window, tuple(_batches(stage, scales, stride)
-                                          for stage in cascade.stages))
+    level = np.repeat(np.arange(len(grids), dtype=np.int16),
+                      [len(xs) * len(ys) for _, xs, ys in grids])
+    plan = _ScanPlan(stride, origin, level, sizes, window,
+                     tuple(_batches(stage, scales, stride)
+                           for stage in cascade.stages))
     reads = max(sum(4 * len(b.table.actual) for b in batches)
                 for batches in plan.stages)
     size, n = max(1, _GATHER_BUDGET // reads), len(origin)
@@ -792,9 +787,8 @@ def detect(img: Image, cascade: Cascade,
         hits = _cascade_pass(plan, ii, cols,
                              tables or _slice_tables(plan, cols))
         ys, xs = np.divmod(plan.origin[hits], plan.stride)
-        level = np.searchsorted(plan.starts, hits, side="right") - 1
         raw.extend(Rect(int(x), int(y), int(w), int(h)) for x, y, w, h
-                   in zip(xs, ys, *plan.sizes[:, level]))
+                   in zip(xs, ys, *plan.sizes[:, plan.level[hits]]))
     raw.sort(key=lambda r: (r.y, r.x, r.w, r.h))
     boxes: list[FaceBox] = []
     for members, m in _group_rects(raw, scan.group_iou):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from fatiguedet.errors import (
     VersionMismatch,
 )
 from fatiguedet.imaging import Image, Rect, integral_image, iround
+from fatiguedet.pipeline import load_pipeline
 from fatiguedet.synth import (
     BACKGROUND,
     SyntheticSpec,
@@ -1168,6 +1170,54 @@ def plan_survivors(ii, plan):
         for cols, tables in plan.slices])
 
 
+class TestPlanLevels:
+    @settings(max_examples=30)
+    @given(cascade=small_cascades(), data=st.data())
+    def test_each_window_takes_its_own_level(self, cascade, data):
+        width = data.draw(st.integers(cascade.base_w, 40))
+        height = data.draw(st.integers(cascade.base_h, 40))
+        scan = ScanConfig(scale_factor=data.draw(st.floats(1.1, 2.0)),
+                          step_frac=data.draw(st.floats(0.05, 1.0)))
+        windows = scan_windows(gray(np.zeros((height, width))), cascade,
+                               scan)
+        plan = detector._scan_plan(cascade, width, height,
+                                   scan.scale_factor, scan.step_frac)
+        scales = list(dict.fromkeys(scale for _, scale in windows))
+        assert plan.level.dtype == np.int16
+        assert plan.level.tolist() == [scales.index(scale)
+                                       for _, scale in windows]
+        n = len(windows)
+        if data.draw(st.booleans()):
+            lo = data.draw(st.integers(0, n - 1))
+            picked = range(lo, data.draw(st.integers(lo + 1, n)))
+            cols = slice(picked.start, picked.stop)
+        else:
+            picked = sorted(data.draw(st.sets(st.integers(0, n - 1),
+                                              min_size=1)))
+            cols = np.array(picked)
+        stride = width + 1
+        window = detector._at(plan.window, plan, cols)
+        batches = [batch for stage in plan.stages for batch in stage]
+        tables = [detector._at(batch.table, plan, cols) for batch in batches]
+        for j, i in enumerate(picked):
+            (ox, oy), scale = windows[i]
+            w = iround(cascade.base_w * scale)
+            h = iround(cascade.base_h * scale)
+            assert window.offsets[:, j].tolist() == [
+                (oy + h) * stride + ox + w, oy * stride + ox + w,
+                (oy + h) * stride + ox, oy * stride + ox]
+            assert window.actual[0, j] == w * h
+            assert window.coeff[0, j] == scale * scale
+            for batch, table in zip(batches, tables):
+                features = [weak.feature for weak, _ in
+                            batch.stage.weak[batch.lo:batch.lo + table.n]]
+                want = detector._feature_table(features, scale, stride)
+                assert np.array_equal(table.offsets[:, j],
+                                      want.offsets + oy * stride + ox)
+                assert np.array_equal(table.actual[:, j], want.actual[:, 0])
+                assert np.array_equal(table.coeff[:, j], want.coeff[:, 0])
+
+
 ALWAYS = WeakClassifier(HaarFeature("2H", Rect(0, 0, 12, 12)), -math.inf, 1)
 NEVER = WeakClassifier(HaarFeature("2H", Rect(0, 0, 12, 12)), math.inf, 1)
 
@@ -1232,7 +1282,52 @@ class TestStageReach:
             bool(total >= threshold)
 
 
+@pytest.fixture(scope="module")
+def day_cascade():
+    """The cascade of the benchmark's stream_day model."""
+    path = Path(__file__).parents[1] / "bench" / "fixtures" / \
+        "stream_day.pipe1"
+    return load_pipeline(path.read_text()).cascade
+
+
+def same_table(got, want):
+    return all(np.array_equal(getattr(got, field), getattr(want, field))
+               and getattr(got, field).dtype == getattr(want, field).dtype
+               for field in ("offsets", "actual", "coeff"))
+
+
 class TestPlanCache:
+    def test_cached_tables_equal_rebuilt_ones(self, day_cascade):
+        detector._scan_plan.cache_clear()
+        for rec in generate(SyntheticSpec(n_frames=3, seed=57)):
+            detect(rec.image, day_cascade)  # scanning leaves them as built
+        plan = detector._scan_plan(day_cascade, 160, 160, 1.25, 0.08)
+        assert len(plan.slices) == 1
+        cols, cached = plan.slices[0]
+        assert cached is not None
+        rebuilt = detector._slice_tables(plan, cols)
+        assert all(same_table(got, want)
+                   for got, want in zip(cached, rebuilt))
+        detector._scan_plan.cache_clear()
+
+    def test_each_slice_rebuilds_the_whole_plan_columns(self, day_cascade,
+                                                        monkeypatch):
+        detector._scan_plan.cache_clear()
+        whole = detector._scan_plan(day_cascade, 160, 160, 1.25,
+                                    0.08).slices[0][1]
+        monkeypatch.setattr(detector, "_PLAN_CACHE_BYTES", 0)
+        monkeypatch.setattr(detector, "_GATHER_BUDGET", 100_000)
+        detector._scan_plan.cache_clear()
+        plan = detector._scan_plan(day_cascade, 160, 160, 1.25, 0.08)
+        assert len(plan.slices) > 1
+        for cols, tables in plan.slices:
+            assert tables is None
+            for got, want in zip(detector._slice_tables(plan, cols), whole):
+                assert same_table(got, detector._FeatureTable(
+                    want.n, want.offsets[:, cols], want.actual[:, cols],
+                    want.coeff[:, cols], want.third, want.fourth))
+        detector._scan_plan.cache_clear()
+
     def test_a_plan_over_the_cap_finds_the_same_boxes(self, face_cascade,
                                                       monkeypatch):
         frames = [rec.image for rec in generate(SyntheticSpec(
